@@ -13,11 +13,13 @@ retraining entirely and go straight to the measured experiment.
 
 Rendered outputs are written to ``benchmarks/results/<experiment>.txt`` so
 the regenerated rows/series can be inspected after a run and compared with
-the paper's values (see EXPERIMENTS.md).
+the paper's values (see EXPERIMENTS.md).  Measured numbers are merged into
+``BENCH_*.json`` at the repository root through :class:`BenchJson`.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -32,6 +34,48 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: Master seed used by the benchmark harness (EXPERIMENTS.md records results
 #: from this seed at the ``small`` scale).
 BENCH_SEED = 2019
+
+
+class BenchJson:
+    """The entries one bench module records into ``BENCH_<name>.json``.
+
+    A bench module binds one instance to its module-level ``BENCH`` name;
+    the autouse :func:`_write_bench_json` fixture merges the recorded
+    entries into the file at the repository root when the module finishes.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.path = Path(__file__).parents[1] / f"BENCH_{name}.json"
+        #: Entry name -> payload; payloads stored here are written as given.
+        self.records: dict = {}
+
+    def record(self, name: str, **values) -> None:
+        """Store one entry, rounding float values to 6 decimal places."""
+        self.records[name] = {key: round(val, 6) if isinstance(val, float) else val
+                              for key, val in values.items()}
+
+    def write(self) -> None:
+        """Merge the recorded entries into the file (no-op without any)."""
+        if not self.records:
+            return
+        existing = {}
+        if self.path.exists():
+            try:
+                existing = json.loads(self.path.read_text(encoding="utf-8"))
+            except ValueError:
+                existing = {}
+        existing.update(self.records)
+        self.path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n",
+                             encoding="utf-8")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _write_bench_json(request):
+    """Write the module's ``BENCH`` entries once all of its benches ran."""
+    yield
+    bench = getattr(request.module, "BENCH", None)
+    if bench is not None:
+        bench.write()
 
 
 @pytest.fixture(scope="session")

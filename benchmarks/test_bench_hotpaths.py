@@ -18,14 +18,12 @@ evidence, not assertions alone.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import BENCH_SEED
+from conftest import BENCH_SEED, BenchJson
 
 from repro.attacks.constraints import PerturbationConstraints
 from repro.attacks.jsma import JsmaAttack
@@ -37,30 +35,7 @@ from repro.nn.optimizers import Adam
 from repro.nn.training import Trainer
 from repro.utils.artifact_cache import ArtifactCache
 
-BENCH_JSON = Path(__file__).parents[1] / "BENCH_hotpaths.json"
-
-_records: dict = {}
-
-
-def _record(name: str, **values) -> None:
-    _records[name] = {key: round(val, 6) if isinstance(val, float) else val
-                      for key, val in values.items()}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_bench_json():
-    yield
-    if not _records:
-        return
-    existing = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except ValueError:
-            existing = {}
-    existing.update(_records)
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+BENCH = BenchJson("hotpaths")
 
 
 def best_of(func, repeats: int = 7, number: int = 3) -> float:
@@ -94,8 +69,8 @@ def test_bench_class_gradients_fused(hot_network, hot_batch):
     fused = best_of(lambda: hot_network.class_gradients(hot_batch))
     loop = best_of(lambda: hot_network.class_gradients(hot_batch, fused=False))
     speedup = loop / fused
-    _record("class_gradients", fused_s=fused, per_class_loop_s=loop,
-            speedup=speedup, batch=hot_batch.shape[0])
+    BENCH.record("class_gradients", fused_s=fused, per_class_loop_s=loop,
+                 speedup=speedup, batch=hot_batch.shape[0])
     print(f"\nclass_gradients: fused {fused * 1e3:.3f} ms, "
           f"loop {loop * 1e3:.3f} ms, speedup {speedup:.2f}x")
     # One backward instead of two; the shared forward bounds the gain below 2x.
@@ -121,8 +96,8 @@ def test_bench_jsma_step(hot_network, hot_batch):
     current = best_of(current_step)
     seed = best_of(seed_equivalent_step)
     speedup = seed / current
-    _record("jsma_step", current_s=current, seed_equivalent_s=seed,
-            speedup=speedup, batch=hot_batch.shape[0])
+    BENCH.record("jsma_step", current_s=current, seed_equivalent_s=seed,
+                 speedup=speedup, batch=hot_batch.shape[0])
     print(f"\njsma_step: current {current * 1e3:.3f} ms, "
           f"seed-equivalent {seed * 1e3:.3f} ms, speedup {speedup:.2f}x")
     assert speedup >= 1.5
@@ -134,7 +109,7 @@ def test_bench_jsma_attack(benchmark, hot_network, hot_batch):
     attack = JsmaAttack(hot_network, constraints=constraints, early_stop=True)
     result = benchmark.pedantic(lambda: attack.run(hot_batch[:64]),
                                 rounds=3, iterations=1)
-    _record("jsma_attack_64x025", mean_perturbed=result.mean_perturbed_features)
+    BENCH.record("jsma_attack_64x025", mean_perturbed=result.mean_perturbed_features)
     assert result.adversarial.shape == hot_batch[:64].shape
 
 
@@ -144,7 +119,7 @@ def test_bench_float32_engine(bench_scale, hot_batch):
         network32 = SubstituteModel.for_scale(bench_scale, random_state=7).network
     batch32 = hot_batch.astype(np.float32)
     f32 = best_of(lambda: network32.class_gradients(batch32))
-    _record("class_gradients_float32", fused_s=f32, batch=hot_batch.shape[0])
+    BENCH.record("class_gradients_float32", fused_s=f32, batch=hot_batch.shape[0])
     print(f"\nclass_gradients float32: {f32 * 1e3:.3f} ms")
     jac64 = SubstituteModel.for_scale(bench_scale, random_state=7) \
         .network.class_gradients(hot_batch[:8])
@@ -184,7 +159,7 @@ def test_bench_context_warm_vs_cold(tmp_path):
     warm = time.perf_counter() - start
 
     speedup = cold / warm
-    _record("context_build_tiny", cold_s=cold, warm_s=warm, speedup=speedup)
+    BENCH.record("context_build_tiny", cold_s=cold, warm_s=warm, speedup=speedup)
     print(f"\ncontext build: cold {cold:.2f} s, warm {warm:.3f} s, "
           f"speedup {speedup:.1f}x")
     assert speedup >= 5.0

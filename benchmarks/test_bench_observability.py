@@ -34,19 +34,17 @@ can never fit a 5% budget, which is exactly why the sampling knob exists.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
-from conftest import BENCH_SEED
+from conftest import BENCH_SEED, BenchJson
 
 from repro.obs import Instrumentation, ListSink, SpanCollector
 from repro.parallel import WorkerFleet
 from repro.serving import LoadGenerator, ModelRegistry, ScoringService, TrafficMix
 
-BENCH_JSON = Path(__file__).parents[1] / "BENCH_observability.json"
+BENCH = BenchJson("observability")
 
 #: Requests per measured single-process replay.
 N_REQUESTS = 4096
@@ -68,29 +66,6 @@ SAMPLE_EVERY = 32
 
 #: Maximum tolerated throughput cost of arming instrumentation.
 MAX_OVERHEAD = 0.05
-
-_records: dict = {}
-
-
-def _record(name: str, **values) -> None:
-    _records[name] = {key: round(val, 6) if isinstance(val, float) else val
-                      for key, val in values.items()}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_bench_json():
-    yield
-    if not _records:
-        return
-    existing = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except ValueError:
-            existing = {}
-    existing.update(_records)
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -212,15 +187,15 @@ def test_bench_instrumentation_overhead(servable, feature_requests):
 
     metrics_overhead = _min_overhead(ratios["metrics"])
     sink_overhead = _min_overhead(ratios["sink"])
-    _record("observability_overhead",
-            n_requests=len(feature_requests), batch_size=BATCH_SIZE,
-            blocks=BLOCKS,
-            plain_rps=plain_report.requests_per_s,
-            metrics_overhead=metrics_overhead,
-            metrics_overhead_median=_median(ratios["metrics"]) - 1.0,
-            sink_overhead=sink_overhead,
-            sink_overhead_median=_median(ratios["sink"]) - 1.0,
-            verdict_mismatches=0)
+    BENCH.record("observability_overhead",
+                 n_requests=len(feature_requests), batch_size=BATCH_SIZE,
+                 blocks=BLOCKS,
+                 plain_rps=plain_report.requests_per_s,
+                 metrics_overhead=metrics_overhead,
+                 metrics_overhead_median=_median(ratios["metrics"]) - 1.0,
+                 sink_overhead=sink_overhead,
+                 sink_overhead_median=_median(ratios["sink"]) - 1.0,
+                 verdict_mismatches=0)
     print(f"\nplain {plain_report.requests_per_s:,.0f} req/s, "
           f"metrics {metrics_overhead:+.1%} "
           f"(median {_median(ratios['metrics']) - 1.0:+.1%}), "
@@ -297,16 +272,16 @@ def test_bench_tracing_overhead(bench_context, fleet_rows):
 
     traced_overhead = _min_overhead(ratios["traced"])
     sampled_overhead = _min_overhead(ratios["sampled"])
-    _record("tracing_overhead",
-            n_requests=N_FLEET, n_workers=2, batch_size=BATCH_SIZE,
-            blocks=len(ratios["sampled"]), sample_every=SAMPLE_EVERY,
-            sampled_overhead=sampled_overhead,
-            sampled_overhead_median=_median(ratios["sampled"]) - 1.0,
-            full_fidelity_overhead=traced_overhead,
-            full_fidelity_overhead_median=_median(ratios["traced"]) - 1.0,
-            n_traces_full=N_FLEET,
-            n_traces_sampled=len(sampled_trees),
-            n_orphans=0, verdict_mismatches=0)
+    BENCH.record("tracing_overhead",
+                 n_requests=N_FLEET, n_workers=2, batch_size=BATCH_SIZE,
+                 blocks=len(ratios["sampled"]), sample_every=SAMPLE_EVERY,
+                 sampled_overhead=sampled_overhead,
+                 sampled_overhead_median=_median(ratios["sampled"]) - 1.0,
+                 full_fidelity_overhead=traced_overhead,
+                 full_fidelity_overhead_median=_median(ratios["traced"]) - 1.0,
+                 n_traces_full=N_FLEET,
+                 n_traces_sampled=len(sampled_trees),
+                 n_orphans=0, verdict_mismatches=0)
     print(f"\nfleet tracing: sampled 1/{SAMPLE_EVERY} {sampled_overhead:+.1%} "
           f"(median {_median(ratios['sampled']) - 1.0:+.1%}), "
           f"full fidelity {traced_overhead:+.1%} "
@@ -324,7 +299,7 @@ def test_bench_off_by_default_costs_nothing_extra(servable, feature_requests):
                                              lambda: None)},
         blocks=2)
     noise = abs(_min_overhead(ratios["plain_again"]))
-    _record("observability_noise_floor",
-            plain_rps=last["plain"][2].requests_per_s,
-            run_to_run_noise=noise)
+    BENCH.record("observability_noise_floor",
+                 plain_rps=last["plain"][2].requests_per_s,
+                 run_to_run_noise=noise)
     print(f"\nrun-to-run noise floor: {noise:.1%}")

@@ -18,42 +18,20 @@ either way, so CI and laptops both leave an honest trail.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
-import pytest
-
-from conftest import BENCH_SEED, run_once, save_rendering
+from conftest import BENCH_SEED, BenchJson, run_once, save_rendering
 
 from repro.evaluation.reports import format_table
 from repro.parallel import GridExecutor, WorkerFleet, available_cpus
 from repro.scenarios import ScenarioSpec
 from repro.serving import ModelRegistry, ScoringService
 
-BENCH_JSON = Path(__file__).parents[1] / "BENCH_parallel.json"
+BENCH = BenchJson("parallel")
 
 GRID_WORKERS = 4
 FLEET_WORKERS = 2
-
-_records: dict = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_bench_json():
-    yield
-    if not _records:
-        return
-    existing = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except ValueError:
-            existing = {}
-    existing.update(_records)
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
 
 
 def _require_speedup() -> bool:
@@ -120,7 +98,7 @@ def test_bench_parallel_grid(benchmark, bench_context, results_dir):
                                       f"seed={BENCH_SEED}, "
                                       f"cpus={available_cpus()})"))
 
-    _records["parallel_grid"] = {
+    BENCH.records["parallel_grid"] = {
         "scale": context.scale.name,
         "seed": BENCH_SEED,
         "n_cells": len(specs),
@@ -164,7 +142,7 @@ def test_bench_worker_fleet(benchmark, bench_context, results_dir):
                      for ours, theirs in zip(verdicts, baseline))
     assert mismatches == 0
 
-    _records["worker_fleet"] = {
+    BENCH.records["worker_fleet"] = {
         "scale": context.scale.name,
         "seed": BENCH_SEED,
         "n_requests": len(stream),

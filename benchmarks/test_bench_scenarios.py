@@ -14,37 +14,15 @@ it) and the canonical grey-box JSMA set is crafted once and shared.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
-import pytest
-
-from conftest import BENCH_SEED, run_once, save_rendering
+from conftest import BENCH_SEED, BenchJson, run_once, save_rendering
 
 from repro.evaluation.reports import format_table
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.scenarios.registry import build_defense
 
-BENCH_JSON = Path(__file__).parents[1] / "BENCH_scenarios.json"
-
-_records: dict = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_bench_json():
-    yield
-    if not _records:
-        return
-    existing = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except ValueError:
-            existing = {}
-    existing.update(_records)
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+BENCH = BenchJson("scenarios")
 
 
 def _grid_specs(scale_name: str) -> list:
@@ -92,7 +70,7 @@ def test_bench_scenario_grid(benchmark, bench_context, results_dir):
                                       f"(scale={context.scale.name}, "
                                       f"seed={BENCH_SEED})"))
 
-    _records["scenario_grid"] = {
+    BENCH.records["scenario_grid"] = {
         "scale": context.scale.name,
         "seed": BENCH_SEED,
         "n_cells": len(specs),

@@ -17,47 +17,22 @@ root; the batched/single speedup on the featurised path is asserted ≥ 5×.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import BENCH_SEED
+from conftest import BENCH_SEED, BenchJson
 
 from repro.serving import LoadGenerator, ModelRegistry, ScoringService, TrafficMix
 
-BENCH_JSON = Path(__file__).parents[1] / "BENCH_serving.json"
+BENCH = BenchJson("serving")
 
 #: Requests per measured replay (large enough for stable quantiles).
 N_REQUESTS = 512
 
 #: Fused-batch size for the micro-batched path.
 BATCH_SIZE = 128
-
-_records: dict = {}
-
-
-def _record(name: str, **values) -> None:
-    _records[name] = {key: round(val, 6) if isinstance(val, float) else val
-                      for key, val in values.items()}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_bench_json():
-    yield
-    if not _records:
-        return
-    existing = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except ValueError:
-            existing = {}
-    existing.update(_records)
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -125,15 +100,15 @@ def test_bench_batched_vs_single_feature_path(servable, feature_requests):
            [v.label for v in single_verdicts]
 
     speedup = single_s / batched_s
-    _record("serving_feature_path",
-            n_requests=len(feature_requests), batch_size=BATCH_SIZE,
-            single_rps=single_report.requests_per_s,
-            batched_rps=batched_report.requests_per_s,
-            single_p50_ms=single_report.p50_ms,
-            single_p95_ms=single_report.p95_ms,
-            batched_p50_ms=batched_report.p50_ms,
-            batched_p95_ms=batched_report.p95_ms,
-            speedup=speedup)
+    BENCH.record("serving_feature_path",
+                 n_requests=len(feature_requests), batch_size=BATCH_SIZE,
+                 single_rps=single_report.requests_per_s,
+                 batched_rps=batched_report.requests_per_s,
+                 single_p50_ms=single_report.p50_ms,
+                 single_p95_ms=single_report.p95_ms,
+                 batched_p50_ms=batched_report.p50_ms,
+                 batched_p95_ms=batched_report.p95_ms,
+                 speedup=speedup)
     print(f"\nfeature path: single {single_report.requests_per_s:,.0f} req/s, "
           f"batched {batched_report.requests_per_s:,.0f} req/s, "
           f"speedup {speedup:.1f}x")
@@ -147,13 +122,13 @@ def test_bench_batched_vs_single_log_path(servable, log_requests):
     single_s, _, single_report = _measure_single(servable, log_requests)
     batched_s, _, batched_report = _measure_batched(servable, log_requests)
     speedup = single_s / batched_s
-    _record("serving_log_path",
-            n_requests=len(log_requests), batch_size=BATCH_SIZE,
-            single_rps=single_report.requests_per_s,
-            batched_rps=batched_report.requests_per_s,
-            batched_p50_ms=batched_report.p50_ms,
-            batched_p95_ms=batched_report.p95_ms,
-            speedup=speedup)
+    BENCH.record("serving_log_path",
+                 n_requests=len(log_requests), batch_size=BATCH_SIZE,
+                 single_rps=single_report.requests_per_s,
+                 batched_rps=batched_report.requests_per_s,
+                 batched_p50_ms=batched_report.p50_ms,
+                 batched_p95_ms=batched_report.p95_ms,
+                 speedup=speedup)
     print(f"\nlog path: single {single_report.requests_per_s:,.0f} req/s, "
           f"batched {batched_report.requests_per_s:,.0f} req/s, "
           f"speedup {speedup:.1f}x")
@@ -172,6 +147,6 @@ def test_bench_serving_verdicts_match_direct_path(servable, log_requests):
     by_id = {verdict.request_id: verdict.label for verdict in verdicts}
     observed = [by_id[request.request_id] for request in log_requests]
     mismatches = int(np.sum(np.asarray(observed) != direct))
-    _record("serving_verdict_parity",
-            n_requests=len(log_requests), mismatches=mismatches)
+    BENCH.record("serving_verdict_parity",
+                 n_requests=len(log_requests), mismatches=mismatches)
     assert mismatches == 0

@@ -22,14 +22,12 @@ Numbers land in ``BENCH_sweep.json`` at the repository root.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import save_rendering
+from conftest import BenchJson, save_rendering
 
 from repro.attacks.constraints import PerturbationConstraints
 from repro.attacks.jsma import JsmaAttack
@@ -44,30 +42,7 @@ from repro.evaluation.security_curve import (
 )
 from repro.nn.metrics import detection_rate
 
-BENCH_JSON = Path(__file__).parents[1] / "BENCH_sweep.json"
-
-_records: dict = {}
-
-
-def _record(name: str, **values) -> None:
-    _records[name] = {key: round(val, 6) if isinstance(val, float) else val
-                      for key, val in values.items()}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_bench_json():
-    yield
-    if not _records:
-        return
-    existing = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except ValueError:
-            existing = {}
-    existing.update(_records)
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+BENCH = BenchJson("sweep")
 
 
 def best_of(func, repeats: int = 3):
@@ -147,10 +122,10 @@ def test_bench_gamma_replay_whitebox(sweep_inputs, results_dir):
                      _parity_mismatches(replayed, fused_curve))
     speedup_vs_seed = seed_s / replay_s
     speedup_vs_fused = fused_s / replay_s
-    _record("gamma_sweep_whitebox", replay_s=replay_s, seed_per_point_s=seed_s,
-            fused_per_point_s=fused_s, speedup_vs_seed=speedup_vs_seed,
-            speedup_vs_fused=speedup_vs_fused, grid_points=len(grid),
-            n_samples=malware.shape[0], parity_mismatches=mismatches)
+    BENCH.record("gamma_sweep_whitebox", replay_s=replay_s, seed_per_point_s=seed_s,
+                 fused_per_point_s=fused_s, speedup_vs_seed=speedup_vs_seed,
+                 speedup_vs_fused=speedup_vs_fused, grid_points=len(grid),
+                 n_samples=malware.shape[0], parity_mismatches=mismatches)
     save_rendering(results_dir, "sweep_gamma_whitebox",
                    render_security_curve(
                        replayed, title="white-box gamma sweep (replayed)"))
@@ -180,10 +155,10 @@ def test_bench_gamma_replay_greybox_transfer(sweep_inputs):
 
     mismatches = _parity_mismatches(replayed, seed_curve)
     speedup = seed_s / replay_s
-    _record("gamma_sweep_greybox_transfer", replay_s=replay_s,
-            seed_per_point_s=seed_s, speedup_vs_seed=speedup,
-            grid_points=len(grid), n_samples=malware.shape[0],
-            parity_mismatches=mismatches)
+    BENCH.record("gamma_sweep_greybox_transfer", replay_s=replay_s,
+                 seed_per_point_s=seed_s, speedup_vs_seed=speedup,
+                 grid_points=len(grid), n_samples=malware.shape[0],
+                 parity_mismatches=mismatches)
     print(f"\ngamma replay (grey-box transfer): {replay_s * 1e3:.1f} ms vs "
           f"seed per-point {seed_s * 1e3:.1f} ms ({speedup:.2f}x)")
 
@@ -227,9 +202,9 @@ def test_bench_theta_sweep_fused_scoring(sweep_inputs):
 
     seed_s, seed_curve = best_of(seed_theta_sweep, repeats=2)
     mismatches = _parity_mismatches(fused, seed_curve)
-    _record("theta_sweep_fused", fused_s=fused_s, seed_per_point_s=seed_s,
-            speedup_vs_seed=seed_s / fused_s, grid_points=len(thetas),
-            n_samples=malware.shape[0], parity_mismatches=mismatches)
+    BENCH.record("theta_sweep_fused", fused_s=fused_s, seed_per_point_s=seed_s,
+                 speedup_vs_seed=seed_s / fused_s, grid_points=len(thetas),
+                 n_samples=malware.shape[0], parity_mismatches=mismatches)
     print(f"\ntheta sweep: fused {fused_s * 1e3:.1f} ms vs seed "
           f"{seed_s * 1e3:.1f} ms ({seed_s / fused_s:.2f}x)")
 
@@ -255,8 +230,8 @@ def test_bench_replayed_views_need_no_attack(sweep_inputs):
     direct = factory(PerturbationConstraints(theta=0.1, gamma=0.02)).run(malware)
     assert np.array_equal(view.adversarial, direct.adversarial)
     speedup = attack_s / view_s
-    _record("replayed_operating_point", view_s=view_s, fresh_attack_s=attack_s,
-            speedup=speedup)
+    BENCH.record("replayed_operating_point", view_s=view_s, fresh_attack_s=attack_s,
+                 speedup=speedup)
     print(f"\noperating-point view: {view_s * 1e3:.2f} ms vs fresh attack "
           f"{attack_s * 1e3:.1f} ms ({speedup:.1f}x)")
     assert speedup >= 3.0

@@ -594,7 +594,7 @@ def _cmd_serve(args) -> int:
 
         fleet = WorkerFleet(n_workers=args.workers, model=args.model,
                             defense=args.defense, threshold=args.threshold,
-                            context=context, cache=cache,
+                            context=context,
                             max_batch_size=args.batch_size,
                             max_delay_ms=args.max_delay_ms,
                             restart_budget=args.restart_budget,
@@ -670,10 +670,9 @@ def _cmd_serve(args) -> int:
                                  scored_suffix=f" in {service.n_batches} "
                                                f"fused batches")
     lines.append(report.render())
-    if injector is not None:
-        service.reliability.record_faults(injector.fired)
-    if not service.reliability.empty():
-        lines.append(service.reliability.render())
+    reliability = service.reliability
+    if not reliability.empty():
+        lines.append(reliability.render())
     if obs is not None:
         snapshot = obs.snapshot()
         lines.extend(_obs_summary_lines(snapshot))

@@ -33,6 +33,7 @@ from repro.attacks.jsma import JsmaAttack
 from repro.config import CLASS_MALWARE, ScaleProfile, default_profile
 from repro.data.dataset import Dataset
 from repro.data.generator import CorpusBundle, CorpusGenerator
+from repro.exceptions import ConfigurationError
 from repro.features.pipeline import FeaturePipeline
 from repro.models.factory import (
     train_binary_substitute_model,
@@ -54,7 +55,9 @@ class ExperimentContext:
     Parameters
     ----------
     scale:
-        Scale profile (defaults to the ``REPRO_SCALE`` environment selection).
+        A :class:`~repro.config.ScaleProfile` (defaults to the
+        ``REPRO_SCALE`` environment selection).  A profile *name* is
+        rejected here; resolve it with :func:`~repro.config.get_profile`.
     seed:
         Master seed; every derived component gets a named child seed.
     cache:
@@ -74,6 +77,12 @@ class ExperimentContext:
     def __init__(self, scale: Optional[ScaleProfile] = None, seed: int = 0,
                  cache: Optional[Union[ArtifactCache, str, Path]] = None,
                  dtype=None) -> None:
+        if scale is not None and not isinstance(scale, ScaleProfile):
+            hint = (f"; resolve a profile name with get_profile({scale!r})"
+                    if isinstance(scale, str) else "")
+            raise ConfigurationError(
+                f"scale must be a ScaleProfile, got {type(scale).__name__} "
+                f"{scale!r}{hint}")
         self.scale = scale if scale is not None else default_profile()
         self.seed = seed
         self.dtype = resolve_dtype(dtype) if dtype is not None else None

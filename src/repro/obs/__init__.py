@@ -27,33 +27,44 @@ On top of the core sit three serving-observability layers:
 * :mod:`repro.obs.live` — atomically-published live snapshots, the
   ``cli top`` dashboard rendering and Prometheus text exposition.
 
-Everything is off by default: an uninstrumented run pays one ``is None``
-check per batch-level operation.  The serving benchmark pins the enabled
-overhead at ≤5% of batched throughput with byte-identical verdicts.
+The serving, fleet and grid layers always count into an
+:class:`Instrumentation` — the one passed in, or a sink-less default — so
+the metrics registry is the single ledger of their events, and
+:class:`~repro.reliability.report.ReliabilityReport` is a summary read
+from it.  Event sinks and request tracing stay opt-in, and deep library
+code (JSMA, the artifact cache) is observed only under an ambient
+instrumentation.  The serving benchmark pins the cost of an armed sink at
+≤5% of batched throughput with byte-identical verdicts.
 
-Instrumented sites (see each module's docs for the exact metric names):
+Instrumented sites (see each module's docs for the exact metric names;
+``fault.<site>`` counts the injected faults fired at each site):
 
 ================== ====================================================
 seam               metrics
 ================== ====================================================
 ScoringService     ``span.service.flush``, ``serve.requests``,
                    ``serve.sheds``, ``serve.fallbacks``,
-                   ``serve.errors``, ``serve.flush_failures``; per traced
-                   request: ``span.fleet.queue``, ``span.batcher.enqueue``,
+                   ``serve.breaker_trips``, ``serve.flush_failures``,
+                   ``fault.service.flush``; per traced request:
+                   ``span.fleet.queue``, ``span.batcher.enqueue``,
                    ``span.request.score``
 MicroBatcher       ``batcher.queue_depth`` (gauge),
                    ``batcher.batch_size`` (histogram),
                    ``batcher.flush_lag_ms`` (histogram: flush time past
-                   the oldest item's deadline)
+                   the oldest item's deadline), ``serve.flush_retries``,
+                   ``serve.errors`` (poison requests isolated)
 SLOMonitor         ``alert.slo.<name>`` + one ``alert`` event per breach
 WorkerFleet        ``fleet.dispatches``, ``fleet.redispatches``,
-                   ``fleet.restarts`` + merged per-worker snapshots
+                   ``fleet.restarts``, ``fleet.duplicates``,
+                   ``fault.fleet.dispatch`` + merged per-worker snapshots
 GridExecutor       ``span.grid.cell``, ``grid.cells``,
-                   ``grid.cell_retries``, ``grid.cell_timeouts``
+                   ``grid.cell_retries``, ``grid.cell_timeouts``,
+                   ``fault.grid.cell`` (serial path)
 JsmaAttack         ``span.attack.jsma``, ``jsma.steps``,
                    ``jsma.features_flipped``, ``jsma.evasions``
 ArtifactCache      ``cache.hits``, ``cache.misses``,
-                   ``cache.build_seconds`` (histogram)
+                   ``cache.build_seconds`` (histogram),
+                   ``fault.cache.lock``
 ================== ====================================================
 """
 

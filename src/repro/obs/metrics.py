@@ -11,13 +11,15 @@ boilerplate::
 
 Histograms keep O(1) summary state (count / sum / min / max), not samples —
 a minutes-long soak observes millions of values and the registry must not
-grow with them.  Full distributions belong in the analytics store or a
-streaming :class:`~repro.serving.stats.LatencyTracker`.
+grow with them.  Full distributions belong in the analytics store; exact
+request-latency quantiles come from a
+:class:`~repro.serving.stats.LatencyTracker`.
 
 Snapshots are plain nested dicts, and :meth:`MetricsRegistry.merge_snapshot`
 folds one registry's snapshot into another associatively — that is how a
 :class:`~repro.parallel.fleet.WorkerFleet` dispatcher aggregates the
-registries its worker processes ship back over the result queue.
+registries its worker processes ship back over the result queue, and the
+only way worker counts are combined.
 """
 
 from __future__ import annotations

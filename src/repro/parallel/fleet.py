@@ -5,9 +5,11 @@
 A shared task queue dispatches requests to whichever worker is free (dynamic
 load balancing); each worker runs its *own*
 :class:`~repro.serving.batcher.MicroBatcher`, so fused-batch scoring and the
-``max_delay_ms`` latency SLO hold per replica, and reports its
-:class:`~repro.serving.stats.LatencyTracker` observations back for one
-aggregated :class:`~repro.serving.stats.ThroughputReport`.
+``max_delay_ms`` latency SLO hold per replica.  The aggregated
+:class:`~repro.serving.stats.ThroughputReport` and the per-worker counts
+are built from the verdicts the dispatcher merged — each verdict carries
+its latency and arrives from exactly one replica — so a replica that dies
+mid-stream still accounts for every verdict it delivered.
 
 The bundle every replica serves is built **once** in the dispatcher process
 (cold build or cache warm start) before the workers launch: under ``fork``
@@ -27,10 +29,15 @@ When a replica dies — detected through its dying-gasp ``("crashed", ...)``
 message or a liveness poll — every claimed-but-unanswered request is
 re-enqueued exactly once (verdict dedup guards the race), and a replacement
 replica is launched while the restart budget lasts.  Every recovery event is
-counted in the :class:`~repro.reliability.report.ReliabilityReport` carried
-by the :class:`FleetReport`, and a :class:`~repro.reliability.faults.FaultPlan`
-can be armed to inject crashes, flush failures, latency spikes and
-malformed payloads at the ``fleet.dispatch`` / ``service.flush`` sites.
+counted once in a metrics registry: the dispatcher's for redispatches,
+restarts and duplicates, each replica's for its own service events.  A
+replica ships its registry snapshot home in its final ``stats`` (or dying
+``crashed``) message, the dispatcher merges it, and the
+:class:`~repro.reliability.report.ReliabilityReport` carried by the
+:class:`FleetReport` summarises the merged counters.  A
+:class:`~repro.reliability.faults.FaultPlan` can be armed to inject
+crashes, flush failures, latency spikes and malformed payloads at the
+``fleet.dispatch`` / ``service.flush`` sites.
 """
 
 from __future__ import annotations
@@ -38,15 +45,13 @@ from __future__ import annotations
 import os
 import queue as queue_module
 import time
-from contextlib import nullcontext
 from dataclasses import asdict as dataclass_asdict
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.config import ScaleProfile, get_profile
+from repro.config import ScaleProfile
 from repro.exceptions import ParallelError
 from repro.experiments.context import ExperimentContext
 from repro.obs import Instrumentation, ListSink, instrumented
@@ -130,15 +135,10 @@ def _build_detector(config: Mapping[str, object], context: ExperimentContext,
                          model=servable.model)
 
 
-def _crash_payload(payload) -> Tuple[object, Optional[Dict[str, object]]]:
-    """Split a dying-gasp payload into (reliability dict, obs snapshot).
-
-    Accepts both the current ``{"reliability": ..., "obs": ...}`` form and
-    the bare reliability dict older workers shipped.
-    """
-    if isinstance(payload, Mapping) and "reliability" in payload:
-        return payload.get("reliability"), payload.get("obs")
-    return payload, None
+def _n_batches(snapshot: Mapping[str, object]) -> int:
+    """Fused batches a replica scored, read from its shipped snapshot."""
+    histogram = snapshot["metrics"]["histograms"].get("batcher.batch_size")
+    return int(histogram["count"]) if histogram else 0
 
 
 def _fleet_worker(worker_id: int, config: Dict[str, object],
@@ -148,32 +148,33 @@ def _fleet_worker(worker_id: int, config: Dict[str, object],
     Protocol on ``result_queue``: ``("ready", id, None)`` after startup,
     ``("claim", id, seq)`` the moment a request is pulled off the dispatch
     queue, ``("verdicts", id, [(seq, Verdict), ...])`` per flush,
-    ``("stats", id, {...})`` after the stop sentinel, ``("crashed", id,
-    reliability_dict)`` as the dying gasp of an injected crash, and
-    ``("failed", id, RemoteFailure)`` on any other error.  Verdicts carry
-    the dispatcher-assigned sequence numbers so the merge is
-    submission-ordered regardless of which replica scored what.
+    ``("stats", id, snapshot)`` after the stop sentinel, ``("crashed", id,
+    snapshot)`` as the dying gasp of an injected crash, and ``("failed",
+    id, RemoteFailure)`` on any other error.  ``snapshot`` is the replica's
+    :meth:`~repro.obs.Instrumentation.snapshot`.  Verdicts carry the
+    dispatcher-assigned sequence numbers so the merge is submission-ordered
+    regardless of which replica scored what.
     """
     from dataclasses import replace as dataclass_replace
 
     plan_payload = config.get("fault_plan")
     injector = (FaultPlan.from_dict(plan_payload).injector(
         scope={"worker": worker_id}) if plan_payload else None)
-    # When the dispatcher observes, every replica runs its own collector
-    # and ships the merged snapshot (metrics + bounded event buffer) home
-    # inside the existing stats message — no extra queue, no extra pickle
-    # per verdict.  The span-id namespace is ``worker_id + 1`` (restarts
-    # get a fresh worker id), so replica spans never collide with the
-    # dispatcher's (namespace 0) or another replica's in a stitched trace.
-    obs = (Instrumentation(sink=ListSink(max_events=_WORKER_OBS_EVENT_CAP),
-                           tags={"worker": worker_id},
-                           namespace=worker_id + 1)
-           if config.get("observe") else None)
-    service = None
+    # Every replica counts into its own registry and ships the snapshot
+    # home inside its final stats (or dying-gasp) message — no extra queue,
+    # no extra pickle per verdict.  When the dispatcher observes, the
+    # snapshot also carries a bounded event buffer.  The span-id namespace
+    # is ``worker_id + 1`` (restarts get a fresh worker id), so replica
+    # spans never collide with the dispatcher's (namespace 0) or another
+    # replica's in a stitched trace.
+    obs = Instrumentation(
+        sink=(ListSink(max_events=_WORKER_OBS_EVENT_CAP)
+              if config.get("observe") else None),
+        tags={"worker": worker_id}, namespace=worker_id + 1)
     try:
         # Ambient scope covers the bundle build too, so warm-start cache
         # hits/misses of spawn workers land in the worker's counters.
-        with instrumented(obs) if obs is not None else nullcontext():
+        with instrumented(obs):
             service = _build_service(config, injector=injector,
                                      instrumentation=obs)
     except BaseException as error:  # noqa: BLE001 - shipped to the dispatcher
@@ -208,7 +209,7 @@ def _fleet_worker(worker_id: int, config: Dict[str, object],
             # Claim before any work: if this replica dies mid-request the
             # dispatcher knows exactly which sequence numbers to re-enqueue.
             result_queue.put(("claim", worker_id, seq))
-            fired = maybe_fire(injector, "fleet.dispatch",
+            fired = maybe_fire(injector, "fleet.dispatch", obs=obs,
                                seq=seq, request_id=request.request_id)
             if fired is not None and fired.action == "malformed":
                 # Corrupt the payload only: the trace context (and id) must
@@ -218,30 +219,15 @@ def _fleet_worker(worker_id: int, config: Dict[str, object],
             pending[request.request_id] = seq
             emit(service.submit(request, enqueued_at=enqueued_at))
         emit(service.drain())
-        reliability = service.reliability
-        if injector is not None:
-            reliability.record_faults(injector.fired)
-        result_queue.put(("stats", worker_id, {
-            "n_requests": service.tracker.count,
-            "n_batches": service.n_batches,
-            "latencies_ms": service.tracker.latencies_ms,
-            "reliability": reliability.as_dict(),
-            "obs": obs.snapshot() if obs is not None else None,
-        }))
+        result_queue.put(("stats", worker_id, obs.snapshot()))
     except WorkerCrash:
         # Dying gasp: flush the claims/verdicts already queued (plus this
-        # crash's accounting) through the feeder thread, then die hard —
-        # the dispatcher must never see a half-written message.  The obs
-        # snapshot rides along so spans recorded before the crash (error-
+        # replica's counts, the crash's fault included) through the feeder
+        # thread, then die hard — the dispatcher must never see a
+        # half-written message.  Spans recorded before the crash (error-
         # tagged flushes included) survive into the dispatcher's stream.
-        reliability = service.reliability
-        if injector is not None:
-            reliability.record_faults(injector.fired)
         try:
-            result_queue.put(("crashed", worker_id, {
-                "reliability": reliability.as_dict(),
-                "obs": obs.snapshot() if obs is not None else None,
-            }))
+            result_queue.put(("crashed", worker_id, obs.snapshot()))
             result_queue.close()
             result_queue.join_thread()
         finally:
@@ -302,13 +288,11 @@ class WorkerFleet:
         What each replica serves — a registered bundle name plus an optional
         DefenseRegistry endpoint, exactly like the single-service ``serve``
         path.
-    scale / seed / dtype / cache:
-        Context configuration for the bundle build (ignored when ``context``
-        is supplied).  Attach a cache so ``spawn`` workers can warm-start.
     context:
-        Optional prebuilt :class:`~repro.experiments.context.ExperimentContext`
-        to build the bundle from (the CLI passes its own so the load
-        generator and the fleet share artifacts).
+        The :class:`~repro.experiments.context.ExperimentContext` the bundle
+        is built from (``None`` = ``ExperimentContext()``).  Attach a cache
+        to it so ``spawn`` workers can warm-start; the CLI passes its own so
+        the load generator and the fleet share artifacts.
     max_batch_size / max_delay_ms:
         Per-replica micro-batching knobs.
     timeout_s:
@@ -326,18 +310,19 @@ class WorkerFleet:
         applies to failing micro-batch flushes.
     instrumentation:
         Optional :class:`~repro.obs.Instrumentation` held by the
-        dispatcher.  When set, every replica runs its own collector, ships
-        its snapshot back with the stats message, and
-        :meth:`score_stream` folds them (plus the dispatcher's own
+        dispatcher.  Counting is always on: the dispatcher counts
         ``fleet.dispatches`` / ``fleet.redispatches`` / ``fleet.restarts``
-        counters) into this object; the merged snapshot is surfaced on
-        :attr:`FleetReport.obs`.  Every dispatched request is additionally
-        *traced*: the dispatcher stamps a
+        / ``fleet.duplicates`` and folds in every replica's shipped
+        registry snapshot — into this object when given, else into a fresh
+        sink-less one per stream — and :attr:`FleetReport.reliability`
+        summarises the stream's share of it.  When given, the fleet also
+        *observes*: replicas buffer their events for the dispatcher, the
+        merged snapshot is surfaced on :attr:`FleetReport.obs`, and every
+        dispatched request is *traced* — the dispatcher stamps a
         :class:`~repro.obs.trace.TraceContext` on (root span per request),
         replicas record the per-hop child spans against it, and the merged
         event stream reconstructs into one span tree per request via
-        :class:`~repro.obs.spans.SpanCollector`.  ``None`` (the default)
-        disables observation fleet-wide.
+        :class:`~repro.obs.spans.SpanCollector`.
     trace_sample_every:
         Head-based trace sampling: stamp a trace on the first request and
         every ``trace_sample_every``-th after it, passing the rest through
@@ -359,9 +344,6 @@ class WorkerFleet:
                  defense: str = "none",
                  defense_params: Optional[Mapping[str, object]] = None,
                  threshold: float = 0.5,
-                 scale: Optional[Union[str, ScaleProfile]] = None, seed: int = 0,
-                 dtype: Optional[str] = None,
-                 cache: Optional[Union[ArtifactCache, str, Path]] = None,
                  context: Optional[ExperimentContext] = None,
                  max_batch_size: int = 32, max_delay_ms: float = 2.0,
                  start_method: Optional[str] = None,
@@ -377,14 +359,7 @@ class WorkerFleet:
         self.defense = defense
         self.defense_params = dict(defense_params or {})
         self.threshold = float(threshold)
-        if cache is not None and not isinstance(cache, ArtifactCache):
-            cache = ArtifactCache(cache)
-        self.cache = cache if context is None or context.cache is None \
-            else context.cache
-        self._scale = scale
-        self._seed = int(seed)
-        self._dtype = dtype
-        self._context = context
+        self.context = context if context is not None else ExperimentContext()
         self.max_batch_size = int(max_batch_size)
         self.max_delay_ms = float(max_delay_ms)
         self.start_method = resolve_start_method(start_method)
@@ -413,20 +388,14 @@ class WorkerFleet:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def _dispatch_context(self) -> ExperimentContext:
-        if self._context is None:
-            scale = (get_profile(self._scale) if isinstance(self._scale, str)
-                     else self._scale)
-            self._context = ExperimentContext(scale=scale, seed=self._seed,
-                                              cache=self.cache, dtype=self._dtype)
-        return self._context
-
-    def _config(self, context: ExperimentContext) -> Dict[str, object]:
+    def _config(self) -> Dict[str, object]:
+        context = self.context
         return {
             "scale_fields": dataclass_asdict(context.scale),
             "seed": context.seed,
             "dtype": str(context.dtype) if context.dtype is not None else None,
-            "cache_root": str(self.cache.root) if self.cache is not None else None,
+            "cache_root": (str(context.cache.root)
+                           if context.cache is not None else None),
             "model": self.model,
             "defense": self.defense,
             "defense_params": self.defense_params,
@@ -471,11 +440,10 @@ class WorkerFleet:
         from repro.serving.registry import ModelRegistry
 
         self._mp_context = multiprocessing.get_context(self.start_method)
-        context = self._dispatch_context()
-        registry = ModelRegistry(cache=self.cache)
-        self.servable = registry.get(self.model, context=context)
-        config = self._config(context)
-        self._detector = _build_detector(config, context, self.servable)
+        registry = ModelRegistry(cache=self.context.cache)
+        self.servable = registry.get(self.model, context=self.context)
+        config = self._config()
+        self._detector = _build_detector(config, self.context, self.servable)
         self._worker_config = config
         self._task_queue = self._mp_context.Queue()
         self._result_queue = self._mp_context.Queue()
@@ -573,7 +541,7 @@ class WorkerFleet:
         if not requests:
             return [], FleetReport(n_workers=self.n_workers,
                                    start_method=self.start_method,
-                                   throughput=LatencyTracker().report(0.0),
+                                   throughput=ThroughputReport.empty(),
                                    per_worker=[])
         from repro.serving.service import ScoringRequest
 
@@ -589,9 +557,11 @@ class WorkerFleet:
             from repro.serving.loadgen import _poisson_offsets
 
             offsets = _poisson_offsets(len(requests), rate_per_s, seed)
-        obs = self.instrumentation
+        observe = self.instrumentation is not None
+        obs = self.instrumentation if observe else Instrumentation()
+        since = obs.metrics.snapshot()
         stamper = (TraceStamper(obs, sample_every=self.trace_sample_every)
-                   if obs is not None else None)
+                   if observe else None)
         started = time.perf_counter()
         stamps: Dict[int, float] = {}
         for seq, request in enumerate(requests):
@@ -606,13 +576,17 @@ class WorkerFleet:
                 request = requests[seq] = stamper.stamp(request,
                                                         started=stamps[seq])
             self._task_queue.put((seq, request, stamps[seq]))
-        if obs is not None:
-            obs.count("fleet.dispatches", len(requests))
+        obs.count("fleet.dispatches", len(requests))
 
         verdicts: Dict[int, object] = {}
         claims: Dict[int, Set[int]] = {worker_id: set()
                                        for worker_id in self._processes}
-        reliability = ReliabilityReport()
+        # Latencies of the scored verdicts each replica delivered, and the
+        # fused batches it reported: every replica launched for this stream
+        # is listed, including one that died after delivering.
+        scored: Dict[int, List[float]] = {worker_id: []
+                                          for worker_id in self._processes}
+        n_batches: Dict[int, int] = {}
         restarts_remaining = self.restart_budget
         n_expected = len(requests)
 
@@ -627,32 +601,36 @@ class WorkerFleet:
             lost = sorted(claims.pop(worker_id, set()) - set(verdicts))
             for seq in lost:
                 self._task_queue.put((seq, requests[seq], stamps[seq]))
-            reliability.redispatches += len(lost)
-            if obs is not None and lost:
-                obs.count("fleet.redispatches", len(lost),
-                          worker=worker_id)
+            if lost:
+                obs.count("fleet.redispatches", len(lost), worker=worker_id)
             if restarts_remaining > 0:
                 restarts_remaining -= 1
-                reliability.restarts += 1
-                if obs is not None:
-                    obs.count("fleet.restarts", worker=worker_id)
-                claims[self._spawn_worker()] = set()
+                obs.count("fleet.restarts", worker=worker_id)
+                replacement = self._spawn_worker()
+                claims[replacement] = set()
+                scored[replacement] = []
             if not self._processes:
                 self.close()
                 raise ParallelError(
                     "every fleet replica died and the restart budget is "
                     f"exhausted ({len(verdicts)}/{n_expected} verdicts in)")
 
+        def fold_snapshot(worker_id: int, snapshot: Mapping[str, object]) -> None:
+            obs.merge_snapshot(snapshot)
+            n_batches[worker_id] = _n_batches(snapshot)
+
         def report_progress(fresh: List) -> None:
             if progress is None:
                 return
+            so_far = ReliabilityReport.from_snapshot(obs.metrics.snapshot(),
+                                                     since=since)
             progress({
                 "new_verdicts": fresh,
                 "n_done": len(verdicts),
                 "n_expected": n_expected,
                 "elapsed_s": time.perf_counter() - started,
-                "restarts": reliability.restarts,
-                "redispatches": reliability.redispatches,
+                "restarts": so_far.restarts,
+                "redispatches": so_far.redispatches,
             })
 
         last_progress = time.monotonic()
@@ -681,23 +659,23 @@ class WorkerFleet:
                 claims.setdefault(worker_id, set()).add(payload)
             elif kind == "verdicts":
                 owned = claims.setdefault(worker_id, set())
+                latencies = scored.setdefault(worker_id, [])
                 fresh = []
                 for seq, verdict in payload:
                     owned.discard(seq)
                     if seq in verdicts:
-                        reliability.duplicates += 1
-                    else:
-                        verdicts[seq] = verdict
-                        fresh.append(verdict)
+                        obs.count("fleet.duplicates")
+                        continue
+                    verdicts[seq] = verdict
+                    fresh.append(verdict)
+                    if verdict.is_scored:
+                        latencies.append(verdict.latency_ms)
                 if stamper is not None:
                     stamper.finish_all(fresh)
                 if fresh:
                     report_progress(fresh)
             elif kind == "crashed":
-                crash_reliability, crash_obs = _crash_payload(payload)
-                reliability.merge(ReliabilityReport.from_dict(crash_reliability))
-                if obs is not None:
-                    obs.merge_snapshot(crash_obs)
+                fold_snapshot(worker_id, payload)
                 handle_death(worker_id)
             elif kind == "ready":
                 claims.setdefault(worker_id, set())
@@ -708,25 +686,18 @@ class WorkerFleet:
 
         for _ in self._processes:
             self._task_queue.put(None)
-        worker_stats: Dict[int, Dict[str, object]] = {}
-        while len(worker_stats) < len(self._processes):
+        shipped: Set[int] = set()
+        while len(shipped) < len(self._processes):
             kind, worker_id, payload = self._get_result()
-            if kind == "stats":
-                worker_stats[worker_id] = payload
+            if kind in ("stats", "crashed"):
+                # A replica crashing during drain loses nothing (every
+                # verdict is already in): fold its counts like any other.
+                fold_snapshot(worker_id, payload)
+                shipped.add(worker_id)
             elif kind == "verdicts":
-                reliability.duplicates += sum(
-                    seq in verdicts for seq, _ in payload)
-            elif kind == "crashed":
-                # Crashed during drain: all verdicts are already in, so
-                # nothing is lost — fold its accounting and stop waiting
-                # for its stats.
-                crash_reliability, crash_obs = _crash_payload(payload)
-                reliability.merge(ReliabilityReport.from_dict(crash_reliability))
-                if obs is not None:
-                    obs.merge_snapshot(crash_obs)
-                process = self._processes.pop(worker_id, None)
-                if process is not None:
-                    process.join(timeout=5.0)
+                duplicates = sum(seq in verdicts for seq, _ in payload)
+                if duplicates:
+                    obs.count("fleet.duplicates", duplicates)
             elif kind == "failed":
                 self.close()
                 payload.raise_()
@@ -734,27 +705,22 @@ class WorkerFleet:
 
         tracker = LatencyTracker()
         per_worker = []
-        for worker_id in sorted(worker_stats):
-            stats = worker_stats[worker_id]
-            latencies = stats["latencies_ms"]
-            tracker.extend(latencies)
-            reliability.merge(ReliabilityReport.from_dict(
-                stats.get("reliability")))
-            if obs is not None:
-                obs.merge_snapshot(stats.get("obs"))
+        for worker_id, latencies in sorted(scored.items()):
+            for latency_ms in latencies:
+                tracker.record(latency_ms)
             per_worker.append({
                 "worker_id": worker_id,
-                "n_requests": stats["n_requests"],
-                "n_batches": stats["n_batches"],
+                "n_requests": len(latencies),
+                "n_batches": n_batches.get(worker_id, 0),
                 "mean_ms": (float(sum(latencies) / len(latencies))
                             if latencies else 0.0),
             })
-        report = FleetReport(n_workers=self.n_workers,
-                             start_method=self.start_method,
-                             throughput=tracker.report(elapsed),
-                             per_worker=per_worker,
-                             reliability=reliability,
-                             obs=(obs.snapshot() if obs is not None else None))
+        report = FleetReport(
+            n_workers=self.n_workers, start_method=self.start_method,
+            throughput=tracker.report(elapsed), per_worker=per_worker,
+            reliability=ReliabilityReport.from_snapshot(obs.metrics.snapshot(),
+                                                        since=since),
+            obs=obs.snapshot() if observe else None)
         return [verdicts[seq] for seq in range(n_expected)], report
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

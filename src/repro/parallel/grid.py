@@ -29,7 +29,10 @@ worker cannot be killed mid-task.  Because a retried cell recomputes the
 same deterministic payload, retries never break the byte-identical
 contract.  A :class:`~repro.reliability.faults.FaultPlan` can arm the
 ``grid.cell`` site (context: ``cell``, ``attempt``) to exercise these
-paths deterministically.
+paths deterministically.  Retries, timeouts and (serial-path) fired faults
+are counted once, in the executor's instrumentation; the
+:class:`~repro.reliability.report.ReliabilityReport` on the
+:class:`GridResult` summarises what one run added there.
 """
 
 from __future__ import annotations
@@ -289,7 +292,8 @@ class GridExecutor:
         Optional :class:`~repro.obs.Instrumentation`.  When unset the
         executor falls back to the ambient one (:func:`repro.obs.current`),
         so ``with instrumented(obs): executor.run(...)`` observes the grid
-        without touching call sites.  The serial path wraps every cell in
+        without touching call sites, and else to a fresh sink-less one per
+        run — counting is always on.  The serial path wraps every cell in
         a ``grid.cell`` span; both paths count ``grid.cells``,
         ``grid.cell_retries`` and ``grid.cell_timeouts`` at the
         supervisor, so the counters cover pooled runs too.
@@ -340,28 +344,27 @@ class GridExecutor:
                               start_method=None)
         n_workers = min(self.n_workers, len(specs))
         started = time.perf_counter()
-        reliability = ReliabilityReport()
-        obs = (self.instrumentation if self.instrumentation is not None
-               else current_instrumentation())
+        obs = self.instrumentation
+        if obs is None:
+            obs = current_instrumentation() or Instrumentation()
+        since = obs.metrics.snapshot()
         if n_workers == 1:
-            reports = self._run_serial(specs, context, reliability, obs)
-            return GridResult(reports=reports,
-                              elapsed_s=time.perf_counter() - started,
-                              n_workers=1, start_method=None,
-                              reliability=reliability)
-        reports = self._run_pool(specs, context, n_workers, reliability, obs)
-        return GridResult(reports=reports,
-                          elapsed_s=time.perf_counter() - started,
-                          n_workers=n_workers, start_method=self.start_method,
-                          reliability=reliability)
+            reports = self._run_serial(specs, context, obs)
+        else:
+            reports = self._run_pool(specs, context, n_workers, obs)
+        return GridResult(
+            reports=reports, elapsed_s=time.perf_counter() - started,
+            n_workers=n_workers,
+            start_method=self.start_method if n_workers > 1 else None,
+            reliability=ReliabilityReport.from_snapshot(obs.metrics.snapshot(),
+                                                        since=since))
 
     # ------------------------------------------------------------------ #
     # Serial baseline
     # ------------------------------------------------------------------ #
     def _run_serial(self, specs: Sequence[ScenarioSpec],
                     context: Optional[ExperimentContext],
-                    reliability: ReliabilityReport,
-                    obs: Optional[Instrumentation]) -> List:
+                    obs: Instrumentation) -> List:
         from repro.scenarios.runner import run_scenario
 
         injector = (self.fault_plan.injector()
@@ -379,28 +382,20 @@ class GridExecutor:
             attempt = 0
             while True:
                 try:
-                    maybe_fire(injector, "grid.cell",
+                    maybe_fire(injector, "grid.cell", obs=obs,
                                cell=cell_index, attempt=attempt)
-                    if obs is None:
+                    with obs.span("grid.cell", cell=cell_index,
+                                  attempt=attempt):
                         reports.append(run_scenario(spec, context=cell_context))
-                    else:
-                        with obs.span("grid.cell", cell=cell_index,
-                                      attempt=attempt):
-                            reports.append(
-                                run_scenario(spec, context=cell_context))
-                        obs.count("grid.cells")
+                    obs.count("grid.cells")
                     break
                 except Exception:
                     if attempt >= self.retry_policy.max_retries:
                         raise
-                    reliability.cell_retries += 1
-                    if obs is not None:
-                        obs.count("grid.cell_retries", cell=cell_index)
+                    obs.count("grid.cell_retries", cell=cell_index)
                     time.sleep(self.retry_policy.delay(attempt,
                                                        token=cell_index))
                     attempt += 1
-        if injector is not None:
-            reliability.record_faults(injector.fired)
         return reports
 
     # ------------------------------------------------------------------ #
@@ -413,8 +408,7 @@ class GridExecutor:
 
     def _run_pool(self, specs: Sequence[ScenarioSpec],
                   context: Optional[ExperimentContext], n_workers: int,
-                  reliability: ReliabilityReport,
-                  obs: Optional[Instrumentation] = None) -> List:
+                  obs: Instrumentation) -> List:
         import multiprocessing
 
         mp_context = multiprocessing.get_context(self.start_method)
@@ -450,7 +444,7 @@ class GridExecutor:
             collected: Dict[int, object] = {}
             with mp_context.Pool(processes=n_workers, initializer=_init_worker,
                                  initargs=(payload,)) as pool:
-                self._supervise(pool, specs, collected, reliability, obs)
+                self._supervise(pool, specs, collected, obs)
         finally:
             _FORK_STATE.clear()
 
@@ -463,8 +457,7 @@ class GridExecutor:
 
     def _supervise(self, pool, specs: Sequence[ScenarioSpec],
                    collected: Dict[int, object],
-                   reliability: ReliabilityReport,
-                   obs: Optional[Instrumentation] = None) -> None:
+                   obs: Instrumentation) -> None:
         """Dispatch every cell via ``apply_async`` and supervise attempts.
 
         A failed attempt is rescheduled after the policy's backoff; an
@@ -496,9 +489,7 @@ class GridExecutor:
                     f"timed out after {attempt + 1} attempts of "
                     f"{self.shard_timeout_s}s each")
             if failure is not None:
-                reliability.cell_retries += 1
-                if obs is not None:
-                    obs.count("grid.cell_retries", cell=cell)
+                obs.count("grid.cell_retries", cell=cell)
             backoff[cell] = time.monotonic() + self.retry_policy.delay(
                 attempt, token=cell)
 
@@ -520,14 +511,11 @@ class GridExecutor:
                     else:
                         collected[cell] = outcome
                         progressed = True
-                        if obs is not None:
-                            obs.count("grid.cells")
+                        obs.count("grid.cells")
                 elif cell in deadlines and now > deadlines[cell]:
                     del inflight[cell]
                     del deadlines[cell]
-                    reliability.cell_timeouts += 1
-                    if obs is not None:
-                        obs.count("grid.cell_timeouts", cell=cell)
+                    obs.count("grid.cell_timeouts", cell=cell)
                     reschedule(cell, None)
             if not progressed and (inflight or backoff):
                 time.sleep(0.005)

@@ -19,7 +19,8 @@ injection half of :mod:`repro.reliability`:
 Everything is deterministic: a spec fires on the Nth *matching* invocation
 of its site in this process, never randomly, so a chaos run is replayable
 and its :class:`~repro.reliability.report.ReliabilityReport` counts can be
-asserted exactly.
+asserted exactly.  Every fired fault is counted as ``fault.<site>`` in the
+instrumentation of the layer that fired it.
 
 Instrumented sites
 ------------------
@@ -62,6 +63,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ReproError
+from repro.reliability.report import FAULT_PREFIX
 
 __all__ = [
     "FAULT_ACTIONS",
@@ -249,17 +251,19 @@ class FaultInjector:
         self.scope = dict(scope or {})
         self._sleep = sleep
         self._hits: List[int] = [0] * len(plan.specs)
-        #: site -> number of faults actually fired there (for the report).
+        #: site -> number of faults this injector actually fired there.
         self.fired: Dict[str, int] = {}
 
-    def fire(self, site: str, **context: object) -> Optional[FaultSpec]:
+    def fire(self, site: str, obs=None, **context: object) -> Optional[FaultSpec]:
         """Announce one invocation of ``site``; maybe inject a fault.
 
         Raises :class:`InjectedFault` (``error``) or :class:`WorkerCrash`
         (``crash``), calls ``os._exit(1)`` (``exit``), sleeps (``delay``),
         or returns the fired spec (``malformed`` — and ``delay``, after
         sleeping) for the call site to act on.  Returns ``None`` when no
-        spec fired.
+        spec fired.  Each fault that fires is counted as ``fault.<site>``
+        in ``obs`` (an :class:`~repro.obs.Instrumentation`) when given,
+        before it takes effect.
         """
         full_context = {**self.scope, **context}
         fired_spec: Optional[FaultSpec] = None
@@ -271,6 +275,8 @@ class FaultInjector:
             if not spec.at <= hit < spec.at + spec.count:
                 continue
             self.fired[site] = self.fired.get(site, 0) + 1
+            if obs is not None:
+                obs.count(FAULT_PREFIX + site)
             if spec.action == "error":
                 raise InjectedFault(
                     spec.message or f"injected fault at {site} (hit {hit})")
@@ -292,13 +298,14 @@ class FaultInjector:
                 f"fired={self.fired!r})")
 
 
-def maybe_fire(injector: Optional[FaultInjector], site: str,
+def maybe_fire(injector: Optional[FaultInjector], site: str, obs=None,
                **context: object) -> Optional[FaultSpec]:
     """Fire ``site`` on ``injector`` when one is armed; no-op otherwise.
 
     The one-liner instrumented sites call so the fault-free fast path stays
-    a single ``None`` check.
+    a single ``None`` check; ``obs`` is where fired faults are counted (see
+    :meth:`FaultInjector.fire`).
     """
     if injector is None:
         return None
-    return injector.fire(site, **context)
+    return injector.fire(site, obs=obs, **context)

@@ -1,12 +1,17 @@
-"""Structured accounting of every reliability event in a run.
+"""A read-only summary of every reliability event a run counted.
 
-A :class:`ReliabilityReport` is the ledger the chaos benchmark asserts
-against: each supervision or degradation event increments exactly one
-counter, so after a run under a known :class:`~repro.reliability.faults.FaultPlan`
-the counts must match the plan exactly — that is the dependability claim.
-Reports merge associatively (fleet dispatchers fold per-replica reports
-into one) and serialise to plain dicts for fleet stats messages and
-``BENCH_reliability.json``.
+Supervision and degradation events are counted once, where they happen,
+in the :class:`~repro.obs.metrics.MetricsRegistry` of the layer's
+:class:`~repro.obs.Instrumentation`: one counter per event kind (see
+:data:`COUNTERS`) plus one ``fault.<site>`` counter per injection site.  A
+:class:`ReliabilityReport` reads those counters out of a registry snapshot
+— it is the view the chaos benchmark asserts against: after a run under a
+known :class:`~repro.reliability.faults.FaultPlan` the counts must match
+the plan exactly, which is the dependability claim.
+
+Fleets and grids combine their workers' counts by merging snapshots
+(:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`), never by
+adding reports, so there is one ledger and one merge path.
 """
 
 from __future__ import annotations
@@ -14,12 +19,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-__all__ = ["ReliabilityReport"]
+__all__ = ["COUNTERS", "FAULT_PREFIX", "ReliabilityReport"]
+
+#: Report field -> the registry counter that counts it.
+COUNTERS: Dict[str, str] = {
+    "restarts": "fleet.restarts",
+    "redispatches": "fleet.redispatches",
+    "flush_retries": "serve.flush_retries",
+    "isolated": "serve.errors",
+    "sheds": "serve.sheds",
+    "fallbacks": "serve.fallbacks",
+    "breaker_trips": "serve.breaker_trips",
+    "cell_retries": "grid.cell_retries",
+    "cell_timeouts": "grid.cell_timeouts",
+    "duplicates": "fleet.duplicates",
+}
+
+#: Prefix of the per-site fired-fault counters (``fault.service.flush``).
+FAULT_PREFIX = "fault."
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReliabilityReport:
-    """Counters for every fault seen and every recovery action taken.
+    """Counts of every fault seen and every recovery action taken.
 
     Attributes
     ----------
@@ -41,12 +63,8 @@ class ReliabilityReport:
         Grid cells re-run after a failure.
     cell_timeouts:
         Grid cells abandoned after exceeding the per-shard timeout.
-    stale_locks_swept:
-        Dead-owner cache lock files removed instead of waited on.
     duplicates:
         Duplicate verdicts discarded by the dispatcher (must stay 0).
-    lost:
-        Requests never answered (must stay 0).
     faults:
         Injected faults actually fired, per site.
     """
@@ -60,56 +78,51 @@ class ReliabilityReport:
     breaker_trips: int = 0
     cell_retries: int = 0
     cell_timeouts: int = 0
-    stale_locks_swept: int = 0
     duplicates: int = 0
-    lost: int = 0
-    faults: Dict[str, int] = field(default_factory=dict)
+    faults: Mapping[str, int] = field(default_factory=dict)
 
-    _COUNTERS = ("restarts", "redispatches", "flush_retries", "isolated",
-                 "sheds", "fallbacks", "breaker_trips", "cell_retries",
-                 "cell_timeouts", "stale_locks_swept", "duplicates", "lost")
+    @classmethod
+    def from_snapshot(cls, snapshot: Mapping[str, Mapping[str, object]],
+                      since: Optional[Mapping[str, Mapping[str, object]]] = None
+                      ) -> "ReliabilityReport":
+        """The report of a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`.
 
-    def merge(self, other: "ReliabilityReport") -> "ReliabilityReport":
-        """Fold ``other``'s counts into this report (returns self)."""
-        for name in self._COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        for site, count in other.faults.items():
-            self.faults[site] = self.faults.get(site, 0) + count
-        return self
+        ``since`` is an earlier snapshot of the same registry; the report
+        then covers only the events counted after it (counters only grow,
+        so the difference is exact).
+        """
+        counters = snapshot.get("counters") or {}
+        before = (since or {}).get("counters") or {}
 
-    def record_faults(self, fired: Mapping[str, int]) -> None:
-        """Fold an injector's per-site fired counts into :attr:`faults`."""
-        for site, count in fired.items():
-            self.faults[site] = self.faults.get(site, 0) + count
+        def count(name: str) -> int:
+            return int(counters.get(name, 0.0) - before.get(name, 0.0))
+
+        faults = {name[len(FAULT_PREFIX):]: count(name)
+                  for name in sorted(counters)
+                  if name.startswith(FAULT_PREFIX) and count(name)}
+        return cls(faults=faults,
+                   **{name: count(counter) for name, counter in COUNTERS.items()})
 
     def total_events(self) -> int:
         """Every recovery/degradation event counted (faults excluded)."""
-        return sum(getattr(self, name) for name in self._COUNTERS)
+        return sum(getattr(self, name) for name in COUNTERS)
 
     def empty(self) -> bool:
         """True when nothing at all happened (clean, fault-free run)."""
         return self.total_events() == 0 and not self.faults
 
     def as_dict(self) -> Dict[str, object]:
-        """Plain-dict form for stats messages and benchmark JSON."""
+        """Plain-dict form for benchmark JSON and grid/fleet payloads."""
         payload: Dict[str, object] = {name: getattr(self, name)
-                                      for name in self._COUNTERS}
+                                      for name in COUNTERS}
         payload["faults"] = dict(self.faults)
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Optional[Mapping[str, object]]) -> "ReliabilityReport":
-        """Inverse of :meth:`as_dict`; ``None`` yields an empty report."""
-        payload = dict(payload or {})
-        faults = dict(payload.pop("faults", {}))
-        counters = {name: int(payload.get(name, 0)) for name in cls._COUNTERS}
-        return cls(faults=faults, **counters)
 
     def render(self) -> str:
         """Human-readable summary for CLI output."""
         lines: List[str] = ["reliability:"]
         pairs = [(name.replace("_", " "), getattr(self, name))
-                 for name in self._COUNTERS]
+                 for name in COUNTERS]
         active = [f"{label}={value}" for label, value in pairs if value]
         lines.append("  " + (", ".join(active) if active else "no events"))
         if self.faults:

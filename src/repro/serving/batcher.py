@@ -21,6 +21,7 @@ import time
 from typing import Callable, Generic, List, Optional, Sequence, TypeVar
 
 from repro.exceptions import ServingError
+from repro.obs.instrument import Instrumentation
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -55,21 +56,18 @@ class MicroBatcher(Generic[T, R]):
         behaviour.
     sleep:
         Sleep used between retry attempts (injectable for tests).
-    on_retry:
-        Optional callback ``(attempt, error)`` fired before each re-attempt.
-    on_isolate:
-        Optional callback ``(item, error)`` fired when a poison item is
-        isolated into an ``error_fn`` result.
     instrumentation:
-        Optional :class:`~repro.obs.Instrumentation`; when set, every
-        flush samples the ``batcher.queue_depth`` gauge (pre-flush peak,
-        then post-flush leftover — batch-boundary sampling, so the
-        per-item submit path stays instrumentation-free) and records the
-        batch size in the ``batcher.batch_size`` histogram plus its lag
-        past the oldest item's deadline in ``batcher.flush_lag_ms``
-        (negative = flushed with headroom) — the raw signal behind the
-        flush-deadline SLO.  ``None`` (the default) keeps the hot path
-        untouched.
+        The :class:`~repro.obs.Instrumentation` the batcher counts into
+        (``None``, the default, makes a sink-less one).  Every flush
+        samples the ``batcher.queue_depth`` gauge (pre-flush peak, then
+        post-flush leftover — batch-boundary sampling, so the per-item
+        submit path stays instrumentation-free) and records the batch size
+        in the ``batcher.batch_size`` histogram plus its lag past the
+        oldest item's deadline in ``batcher.flush_lag_ms`` (negative =
+        flushed with headroom) — the raw signal behind the flush-deadline
+        SLO.  Its reliability events count under the serving layer's
+        names: ``serve.flush_retries`` per re-attempt and ``serve.errors``
+        per poison item answered by ``error_fn``.
     """
 
     def __init__(self, flush_fn: Callable[[List[T]], Sequence[R]],
@@ -78,8 +76,6 @@ class MicroBatcher(Generic[T, R]):
                  retry_policy=None,
                  error_fn: Optional[Callable[[T, Exception], R]] = None,
                  sleep: Callable[[float], None] = time.sleep,
-                 on_retry: Optional[Callable[[int, Exception], None]] = None,
-                 on_isolate: Optional[Callable[[T, Exception], None]] = None,
                  instrumentation=None) -> None:
         if max_batch_size < 1:
             raise ServingError(f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -92,18 +88,12 @@ class MicroBatcher(Generic[T, R]):
         self._retry_policy = retry_policy
         self._error_fn = error_fn
         self._sleep = sleep
-        self._on_retry = on_retry
-        self._on_isolate = on_isolate
-        self._obs = instrumentation
-        self._depth_gauge = (instrumentation.metrics.gauge("batcher.queue_depth")
-                            if instrumentation is not None else None)
+        self._obs = (instrumentation if instrumentation is not None
+                     else Instrumentation())
+        self._depth_gauge = self._obs.metrics.gauge("batcher.queue_depth")
         self._pending: List[T] = []
         self._oldest_enqueued_at: Optional[float] = None
-        self.n_submitted = 0
         self.n_flushes = 0
-        self.n_retries = 0
-        self.n_isolated = 0
-        self.batch_sizes: List[int] = []
 
     @property
     def pending(self) -> int:
@@ -127,7 +117,6 @@ class MicroBatcher(Generic[T, R]):
         if self._oldest_enqueued_at is None:
             self._oldest_enqueued_at = self._clock()
         self._pending.append(item)
-        self.n_submitted += 1
         if len(self._pending) >= self.max_batch_size:
             return self.flush()
         return []
@@ -184,35 +173,28 @@ class MicroBatcher(Generic[T, R]):
             self._oldest_enqueued_at = oldest
             raise
         self.n_flushes += 1
-        self.batch_sizes.append(len(batch))
-        if self._obs is not None:
-            # Queue depth is sampled at flush boundaries: depth grows
-            # monotonically between flushes, so the pre-flush batch size
-            # IS the interval's peak and the leftover is the level the
-            # next interval starts from — same max and same final value
-            # as per-submit sampling, with zero per-item hot-path work.
-            self._depth_gauge.set(len(batch))
-            self._depth_gauge.set(len(self._pending))
-            self._obs.observe("batcher.batch_size", len(batch))
-            if oldest is not None:
-                deadline = oldest + self.max_delay_ms / 1000.0
-                self._obs.observe("batcher.flush_lag_ms",
-                                  (self._clock() - deadline) * 1000.0)
+        # Queue depth is sampled at flush boundaries: depth grows
+        # monotonically between flushes, so the pre-flush batch size IS the
+        # interval's peak and the leftover is the level the next interval
+        # starts from — same max and same final value as per-submit
+        # sampling, with zero per-item hot-path work.
+        self._depth_gauge.set(len(batch))
+        self._depth_gauge.set(len(self._pending))
+        self._obs.observe("batcher.batch_size", len(batch))
+        if oldest is not None:
+            deadline = oldest + self.max_delay_ms / 1000.0
+            self._obs.observe("batcher.flush_lag_ms",
+                              (self._clock() - deadline) * 1000.0)
         return results
 
     def _attempt(self, batch: List[T]) -> List[R]:
         """One logical flush of ``batch``, retried under the policy if set."""
         if self._retry_policy is None:
             return list(self._flush_fn(batch))
-
-        def note_retry(attempt: int, error: Exception) -> None:
-            self.n_retries += 1
-            if self._on_retry is not None:
-                self._on_retry(attempt, error)
-
         return list(self._retry_policy.run(
             lambda: self._flush_fn(batch), sleep=self._sleep,
-            on_retry=note_retry))
+            on_retry=lambda attempt, error: self._obs.count(
+                "serve.flush_retries")))
 
     def _flush_batch(self, batch: List[T]) -> List[R]:
         """Flush ``batch``, bisecting persistent failures down to one item.
@@ -227,9 +209,7 @@ class MicroBatcher(Generic[T, R]):
             if self._error_fn is None:
                 raise
             if len(batch) == 1:
-                self.n_isolated += 1
-                if self._on_isolate is not None:
-                    self._on_isolate(batch[0], error)
+                self._obs.count("serve.errors")
                 return [self._error_fn(batch[0], error)]
             midpoint = len(batch) // 2
             return (self._flush_batch(batch[:midpoint]) +

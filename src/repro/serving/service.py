@@ -18,8 +18,7 @@ Per-request latencies accumulate in a
 :class:`~repro.serving.stats.LatencyTracker` so the ``serve`` CLI and the
 benchmark harness report p50/p95/throughput from real observations.
 
-Reliability hooks (all optional, all off by default — the fault-free path
-is unchanged):
+Reliability hooks (all optional, all off by default):
 
 * a :class:`~repro.reliability.retry.RetryPolicy` re-attempts failing
   flushes with backoff; a :class:`~repro.reliability.retry.CircuitBreaker`
@@ -31,8 +30,10 @@ is unchanged):
   the batch;
 * ``fallback_after`` demotes a repeatedly-failing defended endpoint to the
   undefended fast path (verdicts then carry ``defense=None``);
-* every such event is counted in :attr:`ScoringService.reliability`, the
-  structured ledger the chaos benchmark asserts against.
+* every such event is counted once, in the metrics registry of the
+  service's :class:`~repro.obs.Instrumentation`;
+  :attr:`ScoringService.reliability` is the summary of those counters the
+  chaos benchmark asserts against.
 
 Shed and error verdicts carry ``label=-1`` and are *not* recorded in the
 latency tracker — throughput statistics describe scored requests only.
@@ -51,6 +52,7 @@ from repro.config import CLASS_MALWARE, CLASS_NAMES
 from repro.defenses.base import DefendedDetector
 from repro.exceptions import ServingError
 from repro.features.extraction import CountSource
+from repro.obs.instrument import Instrumentation
 from repro.obs.trace import TraceContext
 from repro.reliability import (CircuitBreaker, FaultInjector, ReliabilityReport,
                                RetryPolicy, maybe_fire)
@@ -154,16 +156,18 @@ class ScoringService:
         Optional :class:`~repro.reliability.faults.FaultInjector`; when
         armed, each flush announces itself at the ``service.flush`` site.
     instrumentation:
-        Optional :class:`~repro.obs.Instrumentation`.  When set, every
-        flush runs inside a ``service.flush`` span (tagged with the batch
-        size), the ``serve.requests`` / ``serve.sheds`` /
-        ``serve.fallbacks`` / ``serve.errors`` / ``serve.flush_failures``
-        counters track degradation, and the micro-batcher reports its
+        The :class:`~repro.obs.Instrumentation` the service counts into;
+        ``None`` (the default) makes a sink-less one, so counting is always
+        on while the event stream stays opt-in.  Every flush runs inside a
+        ``service.flush`` span (tagged with the batch size), the
+        ``serve.requests`` / ``serve.sheds`` / ``serve.fallbacks`` /
+        ``serve.errors`` / ``serve.flush_retries`` / ``serve.breaker_trips``
+        / ``serve.flush_failures`` counters track degradation, fired faults
+        count as ``fault.service.flush``, and the micro-batcher reports its
         queue depth and batch sizes.  Requests carrying a
         :class:`~repro.obs.trace.TraceContext` additionally get per-hop
         spans (``fleet.queue``, ``batcher.enqueue``, ``request.score``)
-        recorded against their trace.  ``None`` (the default) leaves the
-        hot path byte-for-byte unchanged.
+        recorded against their trace.
     slo:
         Optional :class:`~repro.obs.slo.SLOMonitor`.  Every flush feeds
         its verdict latencies in and re-evaluates the burn-rate windows
@@ -196,30 +200,21 @@ class ScoringService:
         self.threshold = float(threshold)
         self._clock = clock
         self.tracker = LatencyTracker()
-        self.reliability = ReliabilityReport()
         self._breaker = circuit_breaker
         self._injector = injector
-        self._obs = instrumentation
+        self._obs = (instrumentation if instrumentation is not None
+                     else Instrumentation())
         self._slo = slo
         self._trace_pickups: dict = {}
         self._fallback_after = fallback_after
         self._defense_failures = 0
         self._fallen_back = False
-
-        def note_retry(attempt: int, error: Exception) -> None:
-            self.reliability.flush_retries += 1
-
-        def note_isolate(item: Tuple[ScoringRequest, float],
-                         error: Exception) -> None:
-            self.reliability.isolated += 1
-
         self._batcher: MicroBatcher[Tuple[ScoringRequest, float], Verdict] = MicroBatcher(
             self._flush_items, max_batch_size=max_batch_size,
             max_delay_ms=max_delay_ms, clock=clock,
             retry_policy=retry_policy,
             error_fn=self._error_verdict if isolate_poison else None,
-            sleep=retry_sleep, on_retry=note_retry, on_isolate=note_isolate,
-            instrumentation=instrumentation)
+            sleep=retry_sleep, instrumentation=self._obs)
         self._request_counter = 0
 
     # ------------------------------------------------------------------ #
@@ -270,6 +265,11 @@ class ScoringService:
     def n_batches(self) -> int:
         """Fused batches scored so far."""
         return self._batcher.n_flushes
+
+    @property
+    def reliability(self) -> ReliabilityReport:
+        """The reliability events this service's registry counted so far."""
+        return ReliabilityReport.from_snapshot(self._obs.metrics.snapshot())
 
     # ------------------------------------------------------------------ #
     # Request construction / featurisation
@@ -377,9 +377,7 @@ class ScoringService:
                 if (self._fallback_after is not None
                         and self._defense_failures >= self._fallback_after):
                     self._fallen_back = True
-                    self.reliability.fallbacks += 1
-                    if self._obs is not None:
-                        self._obs.count("serve.fallbacks")
+                    self._obs.count("serve.fallbacks")
                 raise
             self._defense_failures = 0
         else:
@@ -422,19 +420,13 @@ class ScoringService:
     def _flush_items(self, items: List[Tuple[ScoringRequest, float]]) -> List[Verdict]:
         """One flush attempt: injector site, scoring, breaker accounting.
 
-        With instrumentation attached the whole attempt runs inside one
-        per-batch ``service.flush`` span; failures count in
-        ``serve.flush_failures`` and scored requests in ``serve.requests``.
-        Traced requests get their ``batcher.enqueue`` / ``request.score``
-        spans recorded here, and an attached SLO monitor is fed and
-        re-evaluated once per flush — batch-level work, like every other
-        instrumentation point.
+        The whole attempt runs inside one per-batch ``service.flush`` span;
+        failures count in ``serve.flush_failures`` and scored requests in
+        ``serve.requests``.  Traced requests get their ``batcher.enqueue``
+        / ``request.score`` spans recorded here, and an attached SLO
+        monitor is fed and re-evaluated once per flush — batch-level work,
+        like every other instrumentation point.
         """
-        if self._obs is None:
-            verdicts = self._flush_attempt(items)
-            if self._slo is not None:
-                self._feed_slo(verdicts)
-            return verdicts
         with self._obs.span("service.flush", n=len(items)) as flush_span:
             try:
                 verdicts = self._flush_attempt(items)
@@ -481,20 +473,21 @@ class ScoringService:
         if (slo.wants_fallback() and not self._fallen_back
                 and self.detector is not None):
             self._fallen_back = True
-            self.reliability.fallbacks += 1
-            if self._obs is not None:
-                self._obs.count("serve.fallbacks")
+            self._obs.count("serve.fallbacks")
 
     def _flush_attempt(self, items: List[Tuple[ScoringRequest, float]]) -> List[Verdict]:
         try:
-            maybe_fire(self._injector, "service.flush", n=len(items))
+            maybe_fire(self._injector, "service.flush", obs=self._obs,
+                       n=len(items))
             requests = [request for request, _ in items]
             enqueued = [started for _, started in items]
             verdicts = self._verdicts_for(requests, enqueued)
         except Exception:
             if self._breaker is not None:
+                trips = self._breaker.n_trips
                 self._breaker.record_failure()
-                self.reliability.breaker_trips = self._breaker.n_trips
+                if self._breaker.n_trips > trips:
+                    self._obs.count("serve.breaker_trips")
             raise
         if self._breaker is not None:
             self._breaker.record_success()
@@ -520,14 +513,15 @@ class ScoringService:
 
     def _error_verdict(self, item: Tuple[ScoringRequest, float],
                        error: Exception) -> Verdict:
-        """The batcher's poison-isolation hook: one bad request, answered."""
+        """The batcher's poison-isolation hook: one bad request, answered.
+
+        The batcher has already counted the isolation in ``serve.errors``.
+        """
         request, started = item
-        if self._obs is not None:
-            self._obs.count("serve.errors")
-            if request.trace is not None:
-                pickup = self._trace_pickups.pop(request.request_id, started)
-                self._obs.record_span("request.score", pickup, self._clock(),
-                                      trace=request.trace, error=True)
+        if request.trace is not None:
+            pickup = self._trace_pickups.pop(request.request_id, started)
+            self._obs.record_span("request.score", pickup, self._clock(),
+                                  trace=request.trace, error=True)
         if self._slo is not None:
             self._slo.observe(good=False, now=self._clock())
         return self._degraded_verdict(request, started, "error")
@@ -579,11 +573,9 @@ class ScoringService:
         request = self.make_request(source, request_id)
         started = enqueued_at if enqueued_at is not None else self._clock()
         if self._should_shed():
-            self.reliability.sheds += 1
-            if self._obs is not None:
-                self._obs.count("serve.sheds")
+            self._obs.count("serve.sheds")
             return [self._degraded_verdict(request, started, "shed")]
-        if self._obs is not None and request.trace is not None:
+        if request.trace is not None:
             # The queue-wait hop ends here: dispatcher enqueue -> pickup.
             pickup = self._clock()
             self._obs.record_span("fleet.queue", started, pickup,

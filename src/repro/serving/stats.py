@@ -3,30 +3,22 @@
 The serving layer reports the numbers an operator of an online detector
 actually watches: request latency quantiles (p50/p95/p99), mean and max
 latency, and sustained throughput.  :class:`LatencyTracker` accumulates
-per-request latencies as they are observed — one tracker per service, or one
-aggregating a whole :class:`~repro.parallel.fleet.WorkerFleet` via
-:meth:`LatencyTracker.extend`; :class:`ThroughputReport` is the immutable
-summary the service, the ``serve`` CLI command and the benchmark harness all
-render from.
+per-request latencies as they are observed, one tracker per service;
+:class:`ThroughputReport` is the immutable summary the service, the
+``serve`` CLI command and the benchmark harness all render from.  A
+:class:`~repro.parallel.fleet.WorkerFleet` builds its report the same way,
+from the latencies carried by the verdicts its dispatcher merged.
 
 An interval that scored nothing is still a well-defined interval: reporting
 on an empty tracker returns an all-zero report rather than raising, so
 periodic reporters and fleet aggregation never trip over an idle worker.
-
-The tracker's default (exact) mode keeps every observation — percentiles
-are computed from the full sample and a fleet can ship raw latencies home
-for aggregation.  Long-lived services can instead opt into **streaming**
-mode (``LatencyTracker(streaming=True)``): p50/p95/p99 come from Jain &
-Chlamtac's P² estimators (five markers per quantile), mean/max from
-running accumulators, so memory stays O(1) regardless of how many requests
-the interval scores.  The parity test pins the estimators within a small
-relative error of the exact quantiles.
+The tracker keeps every observation, so percentiles are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -76,203 +68,43 @@ class ThroughputReport:
                    p99_ms=0.0, max_ms=0.0)
 
 
-class P2Quantile:
-    """One streaming quantile via the P² algorithm (Jain & Chlamtac 1985).
-
-    Five markers track the running estimate of the ``q``-quantile in O(1)
-    memory and O(1) work per observation.  The first five observations are
-    buffered; until then :attr:`value` falls back to the exact percentile
-    of the buffer, so small samples stay exact.
-    """
-
-    __slots__ = ("q", "_initial", "_heights", "_positions", "_desired",
-                 "_increments")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ServingError(f"quantile q must lie in (0, 1), got {q}")
-        self.q = float(q)
-        self._initial: List[float] = []
-        self._heights: Optional[List[float]] = None
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into the running estimate."""
-        value = float(value)
-        if self._heights is None:
-            self._initial.append(value)
-            if len(self._initial) == 5:
-                self._initial.sort()
-                q = self.q
-                self._heights = list(self._initial)
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q,
-                                 3.0 + 2.0 * q, 5.0]
-                self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-            return
-        heights, positions = self._heights, self._positions
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while not heights[cell] <= value < heights[cell + 1]:
-                cell += 1
-        for marker in range(cell + 1, 5):
-            positions[marker] += 1.0
-        for marker in range(5):
-            self._desired[marker] += self._increments[marker]
-        # Nudge the three interior markers towards their desired positions
-        # (parabolic prediction, linear fallback when it would overshoot a
-        # neighbour's height).
-        for marker in (1, 2, 3):
-            drift = self._desired[marker] - positions[marker]
-            right_gap = positions[marker + 1] - positions[marker]
-            left_gap = positions[marker - 1] - positions[marker]
-            if (drift >= 1.0 and right_gap > 1.0) or \
-                    (drift <= -1.0 and left_gap < -1.0):
-                step = 1.0 if drift >= 1.0 else -1.0
-                candidate = self._parabolic(marker, step)
-                if heights[marker - 1] < candidate < heights[marker + 1]:
-                    heights[marker] = candidate
-                else:
-                    heights[marker] = self._linear(marker, step)
-                positions[marker] += step
-
-    def _parabolic(self, marker: int, step: float) -> float:
-        heights, positions = self._heights, self._positions
-        pos = positions[marker]
-        span = positions[marker + 1] - positions[marker - 1]
-        return heights[marker] + step / span * (
-            (pos - positions[marker - 1] + step)
-            * (heights[marker + 1] - heights[marker])
-            / (positions[marker + 1] - pos)
-            + (positions[marker + 1] - pos - step)
-            * (heights[marker] - heights[marker - 1])
-            / (pos - positions[marker - 1]))
-
-    def _linear(self, marker: int, step: float) -> float:
-        heights, positions = self._heights, self._positions
-        neighbour = marker + int(step)
-        return heights[marker] + step * (
-            (heights[neighbour] - heights[marker])
-            / (positions[neighbour] - positions[marker]))
-
-    @property
-    def value(self) -> float:
-        """The current quantile estimate (exact below five observations)."""
-        if self._heights is not None:
-            return float(self._heights[2])
-        if not self._initial:
-            raise ServingError("quantile of an empty stream is undefined")
-        return percentile(self._initial, self.q * 100.0)
-
-
 class LatencyTracker:
     """Accumulates per-request latencies (milliseconds) for one service.
 
-    Parameters
-    ----------
-    streaming:
-        ``False`` (the default) keeps every observation — exact quantiles,
-        and :attr:`latencies_ms` is available for fleet aggregation.
-        ``True`` bounds memory to O(1): p50/p95/p99 come from
-        :class:`P2Quantile` estimators and mean/max from running
-        accumulators; raw latencies are not retained.
+    Every observation is kept, so the quantiles a report carries are exact.
     """
 
-    _QUANTILES = (50.0, 95.0, 99.0)
-
-    def __init__(self, streaming: bool = False) -> None:
-        self.streaming = bool(streaming)
-        self._latencies_ms: List[float] = []
-        self._count = 0
-        self._sum = 0.0
-        self._max = 0.0
-        self._estimators: Dict[float, P2Quantile] = (
-            {q: P2Quantile(q / 100.0) for q in self._QUANTILES}
-            if self.streaming else {})
+    def __init__(self) -> None:
+        self._observed_ms: List[float] = []
 
     def record(self, latency_ms: float) -> None:
         """Record one request's end-to-end latency in milliseconds."""
         if latency_ms < 0:
             raise ServingError(f"latency must be non-negative, got {latency_ms}")
-        latency_ms = float(latency_ms)
-        if not self.streaming:
-            self._latencies_ms.append(latency_ms)
-            return
-        self._count += 1
-        self._sum += latency_ms
-        if latency_ms > self._max:
-            self._max = latency_ms
-        for estimator in self._estimators.values():
-            estimator.observe(latency_ms)
-
-    def record_batch(self, latency_ms: float, n_requests: int) -> None:
-        """Record the same latency for every request of one fused batch."""
-        if latency_ms < 0:
-            raise ServingError(f"latency must be non-negative, got {latency_ms}")
-        if not self.streaming:
-            self._latencies_ms.extend([float(latency_ms)] * int(n_requests))
-            return
-        for _ in range(int(n_requests)):
-            self.record(latency_ms)
-
-    def extend(self, latencies_ms: Iterable[float]) -> None:
-        """Fold another tracker's observations in (fleet aggregation)."""
-        for latency_ms in latencies_ms:
-            self.record(latency_ms)
+        self._observed_ms.append(float(latency_ms))
 
     @property
     def count(self) -> int:
         """Number of latencies recorded so far."""
-        return self._count if self.streaming else len(self._latencies_ms)
-
-    @property
-    def latencies_ms(self) -> List[float]:
-        """A copy of the recorded latencies (exact mode only)."""
-        if self.streaming:
-            raise ServingError(
-                "a streaming LatencyTracker does not retain raw latencies; "
-                "use report() for its summary")
-        return list(self._latencies_ms)
+        return len(self._observed_ms)
 
     def reset(self) -> None:
         """Forget every recorded latency."""
-        self._latencies_ms.clear()
-        self._count = 0
-        self._sum = 0.0
-        self._max = 0.0
-        if self.streaming:
-            self._estimators = {q: P2Quantile(q / 100.0)
-                                for q in self._QUANTILES}
+        self._observed_ms.clear()
 
     def report(self, elapsed_s: float) -> ThroughputReport:
         """Summarise the recorded latencies over a measured wall interval.
 
         An empty tracker yields :meth:`ThroughputReport.empty` — a zeroed
-        report — so callers that report periodically (or aggregate idle
-        fleet workers) need no special case.  A *non-empty* tracker still
-        requires a positive interval.
+        report — so callers that report periodically (or a fleet replica
+        that scored nothing) need no special case.  A *non-empty* tracker
+        still requires a positive interval.
         """
         if self.count == 0:
             return ThroughputReport.empty(elapsed_s)
         if elapsed_s <= 0:
             raise ServingError(f"elapsed_s must be positive, got {elapsed_s}")
-        if self.streaming:
-            return ThroughputReport(
-                n_requests=self._count,
-                elapsed_s=float(elapsed_s),
-                requests_per_s=float(self._count / elapsed_s),
-                mean_ms=self._sum / self._count,
-                p50_ms=self._estimators[50.0].value,
-                p95_ms=self._estimators[95.0].value,
-                p99_ms=self._estimators[99.0].value,
-                max_ms=self._max,
-            )
-        values = np.asarray(self._latencies_ms, dtype=np.float64)
+        values = np.asarray(self._observed_ms, dtype=np.float64)
         return ThroughputReport(
             n_requests=int(values.size),
             elapsed_s=float(elapsed_s),

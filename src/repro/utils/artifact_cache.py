@@ -163,7 +163,8 @@ class ArtifactCache:
         Optional :class:`~repro.reliability.faults.FaultInjector`; when
         armed, every acquired build lock announces itself at the
         ``cache.lock`` site (an ``exit`` fault there simulates a lock
-        holder dying without releasing).
+        holder dying without releasing); fired faults count in the ambient
+        instrumentation, like the cache's hit/miss counters.
 
     The holder's PID is recorded inside every lock file.  On the ``flock``
     path that is pure observability (the kernel releases the lock when its
@@ -294,7 +295,8 @@ class ArtifactCache:
                                 f"(held by another worker?)") from None
                         time.sleep(_LOCK_POLL_S)
                 self._stamp_lock_pid(fd)
-                maybe_fire(self.injector, "cache.lock", kind=kind, key=key)
+                maybe_fire(self.injector, "cache.lock",
+                           obs=current_instrumentation(), kind=kind, key=key)
                 try:
                     yield
                 finally:
@@ -319,7 +321,8 @@ class ArtifactCache:
                     time.sleep(_LOCK_POLL_S)
             try:
                 self._stamp_lock_pid(fd)
-                maybe_fire(self.injector, "cache.lock", kind=kind, key=key)
+                maybe_fire(self.injector, "cache.lock",
+                           obs=current_instrumentation(), kind=kind, key=key)
                 yield
             finally:
                 os.close(fd)

@@ -50,16 +50,17 @@ class TestChaosFleet:
                             fault_plan=plan, retry_policy=_retry_policy())
         verdicts, report = fleet.score_stream(list(malware_rows))
 
-        # Zero lost, zero duplicated, and every surviving verdict identical
-        # to the fault-free single-service baseline.
-        assert len(verdicts) == len(baseline_verdicts)
+        # Zero lost, zero duplicated — one verdict per submitted request, in
+        # submission order — and every verdict identical to the fault-free
+        # single-service baseline.
+        assert [v.request_id for v in verdicts] == \
+               [v.request_id for v in baseline_verdicts]
         for ours, theirs in zip(verdicts, baseline_verdicts):
             assert ours.status == "ok"
             assert ours.malware_probability == theirs.malware_probability
             assert ours.label == theirs.label
             assert ours.model_version == theirs.model_version
         reliability = report.reliability
-        assert reliability.lost == 0
         assert reliability.duplicates == 0
         assert reliability.restarts == 1          # worker 1 was replaced
         assert reliability.redispatches >= 1      # its in-flight work re-ran
@@ -77,7 +78,8 @@ class TestChaosFleet:
         fleet = WorkerFleet(n_workers=2, context=tiny_context,
                             max_batch_size=8, fault_plan=plan)
         verdicts, report = fleet.score_stream(list(malware_rows))
-        assert len(verdicts) == len(baseline_verdicts)
+        assert [v.request_id for v in verdicts] == \
+               [v.request_id for v in baseline_verdicts]
         errored = [verdict for verdict in verdicts if not verdict.is_scored]
         assert len(errored) == 1                  # exactly the corrupted one
         assert errored[0].status == "error"
@@ -91,7 +93,7 @@ class TestChaosFleet:
                 assert verdict.label == baseline.label
         reliability = report.reliability
         assert reliability.isolated == 1
-        assert reliability.lost == 0 and reliability.duplicates == 0
+        assert reliability.duplicates == 0
         assert reliability.faults == {"fleet.dispatch": 1}
 
     def test_latency_spike_changes_nothing_but_timing(self, tiny_context,
@@ -108,6 +110,32 @@ class TestChaosFleet:
                [v.malware_probability for v in baseline_verdicts]
         assert report.reliability.total_events() == 0
         assert report.reliability.faults == {"service.flush": 1}
+
+    def test_dead_replica_keeps_the_verdicts_it_delivered(self, tiny_context):
+        # Replica 1 scores two batches of 4, then crashes on its 10th
+        # dispatch.  The 8 verdicts it delivered before dying were merged,
+        # so the throughput report and the per-worker counts must cover
+        # them, and the dead replica must be listed.  Replica 0's first
+        # flush is slowed so that replica 1 surely reaches its 10th request.
+        rows = list(tiny_context.attack_malware.features[:40])
+        assert len(rows) == 40
+        plan = FaultPlan(specs=(
+            FaultSpec(site="fleet.dispatch", action="crash", at=10,
+                      where={"worker": 1}),
+            FaultSpec(site="service.flush", action="delay", delay_ms=200.0,
+                      where={"worker": 0}),))
+        fleet = WorkerFleet(n_workers=2, context=tiny_context,
+                            max_batch_size=4, restart_budget=2,
+                            fault_plan=plan)
+        verdicts, report = fleet.score_stream(rows)
+        scored = sum(verdict.is_scored for verdict in verdicts)
+        assert report.reliability.restarts == 1
+        assert scored == 40
+        assert report.throughput.n_requests == scored
+        per_worker = {worker["worker_id"]: worker["n_requests"]
+                      for worker in report.per_worker}
+        assert sum(per_worker.values()) == scored
+        assert 1 in per_worker
 
     def test_exhausted_restart_budget_raises(self, tiny_context, malware_rows):
         # Every replica (original and replacements) crashes on its first

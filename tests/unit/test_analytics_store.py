@@ -24,8 +24,8 @@ from repro.analytics import (
     traffic_kind,
 )
 from repro.config import CLASS_CLEAN, CLASS_MALWARE
-from repro.exceptions import AnalyticsError, ServingError
-from repro.serving.stats import LatencyTracker, ThroughputReport
+from repro.exceptions import AnalyticsError
+from repro.serving.stats import ThroughputReport
 
 
 @pytest.fixture()
@@ -471,52 +471,3 @@ class TestReport:
         rendered = render_report(report)
         assert "slo alerts: 2 fired" in rendered
         assert "slo.latency ×2" in rendered
-
-
-# --------------------------------------------------------------------- #
-# Streaming latency tracker (P² quantiles)
-# --------------------------------------------------------------------- #
-class TestStreamingLatencyTracker:
-    def test_small_samples_are_exact(self):
-        streaming = LatencyTracker(streaming=True)
-        exact = LatencyTracker()
-        for value in (4.0, 1.0, 3.0):
-            streaming.record(value)
-            exact.record(value)
-        a, b = streaming.report(1.0), exact.report(1.0)
-        assert a.p50_ms == b.p50_ms
-        assert a.p99_ms == b.p99_ms
-        assert a.mean_ms == pytest.approx(b.mean_ms)
-        assert a.max_ms == b.max_ms
-
-    def test_parity_with_exact_quantiles(self):
-        rng = np.random.default_rng(2019)
-        latencies = rng.lognormal(mean=0.0, sigma=0.6, size=20_000)
-        streaming = LatencyTracker(streaming=True)
-        exact = LatencyTracker()
-        for value in latencies:
-            streaming.record(value)
-        exact.extend(latencies)
-        a, b = streaming.report(2.0), exact.report(2.0)
-        assert a.n_requests == b.n_requests == 20_000
-        assert a.mean_ms == pytest.approx(b.mean_ms)
-        assert a.max_ms == b.max_ms
-        for name in ("p50_ms", "p95_ms", "p99_ms"):
-            assert getattr(a, name) == pytest.approx(getattr(b, name),
-                                                     rel=0.02)
-
-    def test_streaming_mode_does_not_retain_latencies(self):
-        tracker = LatencyTracker(streaming=True)
-        tracker.record_batch(1.5, 100)
-        assert tracker.count == 100
-        with pytest.raises(ServingError):
-            _ = tracker.latencies_ms
-
-    def test_streaming_reset_and_empty_report(self):
-        tracker = LatencyTracker(streaming=True)
-        tracker.record(2.0)
-        tracker.reset()
-        assert tracker.count == 0
-        assert tracker.report(1.0) == ThroughputReport.empty(1.0)
-        tracker.record(3.0)
-        assert tracker.report(1.0).p99_ms == 3.0

@@ -74,6 +74,18 @@ class TestDeterminism:
         assert not np.allclose(a.train.features, b.train.features)
 
 
+class TestScaleValidation:
+    def test_profile_name_rejected_at_construction(self):
+        from repro.exceptions import ConfigurationError
+
+        # Refused at construction, not on first use deep inside corpus
+        # generation.
+        with pytest.raises(ConfigurationError, match="get_profile"):
+            ExperimentContext(scale="small")
+        with pytest.raises(ConfigurationError, match="ScaleProfile"):
+            ExperimentContext(scale=3)
+
+
 class TestDtypeOverride:
     def test_invalid_dtype_rejected(self):
         from repro.exceptions import ConfigurationError

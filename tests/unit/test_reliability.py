@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ReproError, ServingError
+from repro.obs import Instrumentation, MetricsRegistry
 from repro.reliability import (
     FAULT_ACTIONS,
     CircuitBreaker,
@@ -290,35 +291,68 @@ class TestReliabilityReport:
         report = ReliabilityReport()
         assert report.empty()
         assert report.total_events() == 0
-        report.sheds += 2
-        assert not report.empty()
-        assert report.total_events() == 2
+        shed = ReliabilityReport(sheds=2)
+        assert not shed.empty()
+        assert shed.total_events() == 2
         faults_only = ReliabilityReport(faults={"s": 1})
         assert not faults_only.empty()
         assert faults_only.total_events() == 0
 
+    def test_report_is_read_only(self):
+        with pytest.raises(AttributeError):
+            ReliabilityReport().sheds = 2
+
     def test_merge_sums_counters_and_faults(self):
-        left = ReliabilityReport(restarts=1, faults={"a": 1})
-        right = ReliabilityReport(restarts=2, flush_retries=3,
-                                  faults={"a": 1, "b": 4})
-        merged = left.merge(right)
-        assert merged is left
-        assert left.restarts == 3
-        assert left.flush_retries == 3
-        assert left.faults == {"a": 2, "b": 4}
+        # Worker counts combine by merging registry snapshots, the one
+        # merge path; the report of the merged snapshot sums the parts.
+        left, right = Instrumentation(), Instrumentation()
+        left.count("fleet.restarts")
+        left.count("fault.a")
+        right.count("fleet.restarts", 2)
+        right.count("serve.flush_retries", 3)
+        right.count("fault.a")
+        right.count("fault.b", 4)
+        merged = MetricsRegistry()
+        merged.merge_snapshot(left.metrics.snapshot())
+        merged.merge_snapshot(right.metrics.snapshot())
+        report = ReliabilityReport.from_snapshot(merged.snapshot())
+        assert report.restarts == 3
+        assert report.flush_retries == 3
+        assert report.faults == {"a": 2, "b": 4}
+
+    def test_snapshot_since_counts_only_later_events(self):
+        obs = Instrumentation()
+        obs.count("serve.sheds", 5)
+        obs.count("fault.s")
+        since = obs.metrics.snapshot()
+        obs.count("serve.sheds", 2)
+        obs.count("fault.t")
+        report = ReliabilityReport.from_snapshot(obs.metrics.snapshot(),
+                                                 since=since)
+        assert report.sheds == 2
+        assert report.faults == {"t": 1}
 
     def test_dict_round_trip(self):
         report = ReliabilityReport(restarts=1, redispatches=2, sheds=3,
                                    faults={"fleet.dispatch": 1})
-        clone = ReliabilityReport.from_dict(report.as_dict())
-        assert clone == report
-        assert ReliabilityReport.from_dict(None) == ReliabilityReport()
+        assert ReliabilityReport(**report.as_dict()) == report
+        assert set(ReliabilityReport().as_dict()) == {
+            "restarts", "redispatches", "flush_retries", "isolated", "sheds",
+            "fallbacks", "breaker_trips", "cell_retries", "cell_timeouts",
+            "duplicates", "faults"}
 
-    def test_record_faults_accumulates(self):
-        report = ReliabilityReport()
-        report.record_faults({"s": 2})
-        report.record_faults({"s": 1, "t": 1})
+    def test_fired_faults_accumulate_per_site(self):
+        obs = Instrumentation()
+        plan = FaultPlan(specs=(
+            FaultSpec(site="s", action="delay", count=3),
+            FaultSpec(site="t", action="delay")))
+        injector = plan.injector(sleep=lambda seconds: None)
+        for _ in range(3):
+            maybe_fire(injector, "s", obs=obs)
+        maybe_fire(injector, "t", obs=obs)
+        report = ReliabilityReport.from_snapshot(obs.metrics.snapshot())
         assert report.faults == {"s": 3, "t": 1}
+        assert report.faults == injector.fired
 
     def test_render(self):
         assert "no events" in ReliabilityReport().render()
@@ -341,12 +375,13 @@ class TestBatcherReliability:
                 raise ValueError("transient")
             return [item * 10 for item in batch]
 
+        obs = Instrumentation()
         batcher = MicroBatcher(flaky_flush, max_batch_size=2,
                                retry_policy=RetryPolicy(max_retries=1,
                                                         base_delay_s=0.0),
-                               sleep=no_sleep)
+                               sleep=no_sleep, instrumentation=obs)
         assert batcher.submit_many([1, 2]) == [10, 20]
-        assert batcher.n_retries == 1
+        assert obs.metrics.counter("serve.flush_retries").value == 1
         assert batcher.n_flushes == 1
 
     def test_bisection_isolates_single_poison_item(self):
@@ -356,15 +391,19 @@ class TestBatcherReliability:
             return [item.upper() for item in batch]
 
         isolated = []
-        batcher = MicroBatcher(
-            flush, max_batch_size=8,
-            error_fn=lambda item, error: f"error:{item}",
-            on_isolate=lambda item, error: isolated.append(item))
+
+        def answer_error(item, error):
+            isolated.append(item)
+            return f"error:{item}"
+
+        obs = Instrumentation()
+        batcher = MicroBatcher(flush, max_batch_size=8, error_fn=answer_error,
+                               instrumentation=obs)
         results = batcher.submit_many(
             ["a", "b", "poison", "c", "d", "e", "f", "g"])
         # Order is preserved and only the poison item degrades.
         assert results == ["A", "B", "error:poison", "C", "D", "E", "F", "G"]
-        assert batcher.n_isolated == 1
+        assert obs.metrics.counter("serve.errors").value == 1
         assert isolated == ["poison"]
 
     def test_bisection_handles_multiple_poison_items(self):
@@ -373,10 +412,12 @@ class TestBatcherReliability:
                 raise ValueError("negative")
             return list(batch)
 
+        obs = Instrumentation()
         batcher = MicroBatcher(flush, max_batch_size=4,
-                               error_fn=lambda item, error: None)
+                               error_fn=lambda item, error: None,
+                               instrumentation=obs)
         assert batcher.submit_many([1, -2, -3, 4]) == [1, None, None, 4]
-        assert batcher.n_isolated == 2
+        assert obs.metrics.counter("serve.errors").value == 2
 
     def test_without_error_fn_failure_still_restores_batch(self):
         def bad_flush(batch):
@@ -392,13 +433,15 @@ class TestBatcherReliability:
         def crashing_flush(batch):
             raise WorkerCrash("replica death")
 
+        obs = Instrumentation()
         batcher = MicroBatcher(crashing_flush, max_batch_size=4,
-                               error_fn=lambda item, error: "absorbed")
+                               error_fn=lambda item, error: "absorbed",
+                               instrumentation=obs)
         batcher.submit_many(["x", "y"])
         with pytest.raises(WorkerCrash):
             batcher.flush()
         assert batcher.pending == 2  # crash never eats queued items
-        assert batcher.n_isolated == 0
+        assert obs.metrics.counter("serve.errors").value == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -6,6 +6,7 @@ import pytest
 from repro.config import TINY_PROFILE
 from repro.exceptions import ServingError
 from repro.experiments.context import ExperimentContext
+from repro.obs import Instrumentation
 from repro.serving import (
     LoadGenerator,
     MicroBatcher,
@@ -51,9 +52,10 @@ class TestStats:
         assert "4 requests" in report.render()
         assert "p99" in report.render()
 
-    def test_tracker_record_batch_and_reset(self):
+    def test_tracker_reset_forgets_observations(self):
         tracker = LatencyTracker()
-        tracker.record_batch(5.0, n_requests=3)
+        for _ in range(3):
+            tracker.record(5.0)
         assert tracker.count == 3
         tracker.reset()
         assert tracker.count == 0
@@ -80,15 +82,18 @@ class TestStats:
         # order: the summary must not depend on how observations interleave.
         latencies = [4.0, 1.0, 3.0, 1.0, 9.0, 2.0]
         shuffled, ordered = LatencyTracker(), LatencyTracker()
-        shuffled.extend(latencies)
-        ordered.extend(sorted(latencies))
+        for latency in latencies:
+            shuffled.record(latency)
+        for latency in sorted(latencies):
+            ordered.record(latency)
         assert shuffled.report(2.0) == ordered.report(2.0)
 
     def test_duplicate_observations_each_count(self):
         # Batched scoring records the same latency for every request of a
         # fused batch; duplicates are real requests, never collapsed.
         tracker = LatencyTracker()
-        tracker.extend([5.0, 5.0, 5.0, 1.0])
+        for latency in (5.0, 5.0, 5.0, 1.0):
+            tracker.record(latency)
         report = tracker.report(1.0)
         assert report.n_requests == 4
         assert report.requests_per_s == pytest.approx(4.0)
@@ -103,27 +108,14 @@ class TestStats:
         # and the tracker itself refuses negative observations outright.
         tracker = LatencyTracker()
         tracker.record(max(0.0, (1.0 - 2.0) * 1000.0))
-        assert tracker.latencies_ms == [0.0]
+        assert tracker.count == 1
+        assert tracker.report(1.0).max_ms == 0.0
         with pytest.raises(ServingError):
             tracker.record(-0.001)
-        with pytest.raises(ServingError):
-            tracker.record_batch(-1.0, n_requests=2)
-
-    def test_tracker_extend_merges_observations(self):
-        left, right = LatencyTracker(), LatencyTracker()
-        left.record(1.0)
-        right.record_batch(3.0, n_requests=2)
-        left.extend(right.latencies_ms)
-        assert left.count == 3
-        assert left.report(1.0).mean_ms == pytest.approx(7.0 / 3.0)
-        with pytest.raises(ServingError):
-            left.extend([-0.5])
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ServingError):
             LatencyTracker().record(-1.0)
-        with pytest.raises(ServingError):
-            LatencyTracker().record_batch(-1.0, n_requests=2)
 
 
 class TestMicroBatcher:
@@ -139,14 +131,17 @@ class TestMicroBatcher:
         return batcher, flushed, clock
 
     def test_flushes_when_batch_fills(self):
-        batcher, flushed, _ = self._batcher(max_batch_size=3)
+        obs = Instrumentation()
+        batcher, flushed, _ = self._batcher(max_batch_size=3,
+                                            instrumentation=obs)
         assert batcher.submit(1) == []
         assert batcher.submit(2) == []
         assert batcher.submit(3) == [10, 20, 30]
         assert flushed == [[1, 2, 3]]
         assert batcher.pending == 0
         assert batcher.n_flushes == 1
-        assert batcher.batch_sizes == [3]
+        sizes = obs.metrics.histogram("batcher.batch_size")
+        assert (sizes.count, sizes.total) == (1, 3.0)
 
     def test_poll_flushes_only_after_deadline(self):
         batcher, _, clock = self._batcher(max_batch_size=100, max_delay_ms=5.0)
