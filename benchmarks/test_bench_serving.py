@@ -34,11 +34,22 @@ N_REQUESTS = 512
 #: Fused-batch size for the micro-batched path.
 BATCH_SIZE = 128
 
+#: Seconds of batched forwards run before any replay is timed.  On a
+#: 2-vCPU VM, threaded OpenBLAS ran 128-row forwards ~30x slower for
+#: roughly the first second of such work in a process (sleeping does not
+#: end that window), which made this file's gates fail when run alone.
+BLAS_WARMUP_S = 1.5
+
 
 @pytest.fixture(scope="module")
 def servable(bench_context, bench_cache):
     """The served target bundle (warm-started from the benchmark cache)."""
-    return ModelRegistry(cache=bench_cache).get("target", context=bench_context)
+    servable = ModelRegistry(cache=bench_cache).get("target", context=bench_context)
+    rows = np.zeros((BATCH_SIZE, servable.n_features))
+    deadline = time.perf_counter() + BLAS_WARMUP_S
+    while time.perf_counter() < deadline:
+        servable.model.predict_proba(rows)
+    return servable
 
 
 @pytest.fixture(scope="module")

@@ -384,6 +384,8 @@ def load_scoring_source(path: Path):
     ``.json`` files may carry a plain ``{"api": count}`` mapping, an object
     with an ``api_counts`` mapping, or an object with a ``log`` string in the
     Table II text format.  Any other extension is parsed as Table II text.
+    Counts are call counts: ``2.0`` reads as 2, while ``2.7``, ``NaN`` and
+    ``Infinity`` (which Python's ``json`` accepts) are rejected.
     """
     text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".json":
@@ -394,6 +396,11 @@ def load_scoring_source(path: Path):
             return ApiLog.from_text(str(data["log"]), sample_id=path.stem)
         if isinstance(data, dict) and all(
                 isinstance(count, (int, float)) for count in data.values()):
+            for api, count in data.items():
+                if isinstance(count, float) and not count.is_integer():
+                    raise ServingError(
+                        f"{path}: the count for API {api!r} must be a whole "
+                        f"number, got {count!r}")
             return {str(api): int(count) for api, count in data.items()}
         raise ServingError(
             f"{path} must contain an api->count mapping, an 'api_counts' "

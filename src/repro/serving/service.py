@@ -41,6 +41,8 @@ latency tracker — throughput statistics describe scored requests only.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -62,6 +64,16 @@ from repro.serving.stats import LatencyTracker, ThroughputReport
 
 #: What a scoring request may carry: a log, a count mapping, or a feature row.
 RequestPayload = Union[ApiLog, Mapping[str, int], np.ndarray]
+
+
+def _is_count(count) -> bool:
+    """Whether ``count`` is a finite, non-negative real that fits a float64."""
+    if not isinstance(count, numbers.Real):
+        return False
+    try:
+        return math.isfinite(count) and count >= 0
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -298,10 +310,12 @@ class ScoringService:
                 raise ServingError("request carries non-finite features")
             source = vector          # store the validated (n_features,) shape
         elif isinstance(source, Mapping):
-            negatives = [api for api, count in source.items() if count < 0]
-            if negatives:
+            malformed = [api for api, count in source.items()
+                         if not isinstance(api, str) or not _is_count(count)]
+            if malformed:
                 raise ServingError(
-                    f"request carries negative counts for {negatives[:3]}")
+                    f"request carries malformed counts for {malformed[:3]}: API "
+                    f"names must be strings and counts finite, non-negative numbers")
         elif not isinstance(source, ApiLog):
             raise ServingError(
                 f"unsupported payload type {type(source).__name__}; expected an "

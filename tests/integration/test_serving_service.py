@@ -123,8 +123,13 @@ class TestDegenerateLogs:
         bad[0] = np.nan
         with pytest.raises(ServingError):
             service.submit(bad)                    # rejected at the door
-        with pytest.raises(ServingError):
-            service.submit({"writefile": -3})      # negative counts likewise
+        # Malformed count mappings likewise: each would otherwise fail the
+        # whole micro-batch it lands in at flush time.
+        for payload in ({"writefile": -3}, {"writefile": float("nan")},
+                        {"writefile": float("inf")}, {"writefile": "3"},
+                        {7: 1}, {"writefile": 10 ** 400}):
+            with pytest.raises(ServingError):
+                service.submit(payload)
         assert service.pending == 1                # queued request unharmed
         assert len(service.drain()) == 1
 

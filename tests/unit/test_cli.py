@@ -113,6 +113,25 @@ class TestLoadScoringSource:
         with pytest.raises(ServingError):
             load_scoring_source(log_file)
 
+    def test_integral_float_counts_read_as_ints(self, tmp_path):
+        log_file = tmp_path / "sample.json"
+        log_file.write_text('{"writefile": 2.0, "winexec": 1}', encoding="utf-8")
+        source = load_scoring_source(log_file)
+        assert source == {"writefile": 2, "winexec": 1}
+        assert all(type(count) is int for count in source.values())
+
+    @pytest.mark.parametrize("text", ['{"writefile": 2.7}',
+                                      '{"writefile": NaN}',
+                                      '{"writefile": Infinity}',
+                                      '{"api_counts": {"writefile": -Infinity}}'])
+    def test_rejects_fractional_and_non_finite_counts(self, tmp_path, text):
+        from repro.exceptions import ServingError
+
+        log_file = tmp_path / "sample.json"
+        log_file.write_text(text, encoding="utf-8")
+        with pytest.raises(ServingError, match="writefile"):
+            load_scoring_source(log_file)
+
 
 class TestVersionFlag:
     def test_version_prints_package_version(self, capsys):

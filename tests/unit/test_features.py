@@ -78,6 +78,27 @@ class TestCountExtractor:
         with pytest.raises(ShapeError):
             CountExtractor().extract([1, 2, 3])
 
+    def test_name_cache_is_bounded_and_counts_stay_right(self):
+        from repro.features.extraction import NAME_CACHE_FACTOR
+
+        catalog = build_catalog(n_features=64)
+        extractor = CountExtractor(catalog)
+        cap = NAME_CACHE_FACTOR * len(catalog)
+        monitored = catalog.names[5]
+        junk = [f"UnhookedApi{index}" for index in range(cap + 50)]
+        # The junk fills the cache first, so the monitored name (in two
+        # spellings) arrives past the cap and must resolve without a slot.
+        log = ApiLog(sample_id="junk", os_version="win7", records=[
+            LogRecord(name, 0x1) for name in junk + [monitored, monitored.upper()]])
+        more_junk = {f"OtherUnhooked{index}": 2 for index in range(cap)}
+        more_junk[monitored.title()] = 4
+        for _ in range(2):
+            rows = extractor.extract_batch([log, more_junk])
+            assert len(extractor._columns) == cap
+            column = catalog.index_of(monitored)
+            assert rows[0, column] == 2 and rows[0].sum() == 2
+            assert rows[1, column] == 4 and rows[1].sum() == 4
+
 
 class TestCountTransformer:
     def test_output_in_unit_interval(self):
