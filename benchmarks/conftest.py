@@ -13,8 +13,12 @@ retraining entirely and go straight to the measured experiment.
 
 Rendered outputs are written to ``benchmarks/results/<experiment>.txt`` so
 the regenerated rows/series can be inspected after a run and compared with
-the paper's values (see EXPERIMENTS.md).  Measured numbers are merged into
-``BENCH_*.json`` at the repository root through :class:`BenchJson`.
+the paper's values (see EXPERIMENTS.md); under the default float64 engine
+they are byte-stable, so ``git diff benchmarks/results/`` stays empty.
+Measured numbers — ``BENCH_*.json`` at the repository root (through
+:class:`BenchJson`) and the renderings that carry wall-clock times — are
+written only when ``REPRO_BENCH_WRITE=1``, so a test run leaves the
+tracked files as they were.
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_SEED = 2019
 
 
+def writes_measurements() -> bool:
+    """Whether this run records measured numbers (``REPRO_BENCH_WRITE=1``)."""
+    return os.environ.get("REPRO_BENCH_WRITE") == "1"
+
+
 class BenchJson:
     """The entries one bench module records into ``BENCH_<name>.json``.
 
@@ -55,8 +64,11 @@ class BenchJson:
                               for key, val in values.items()}
 
     def write(self) -> None:
-        """Merge the recorded entries into the file (no-op without any)."""
-        if not self.records:
+        """Merge the recorded entries into the file.
+
+        A no-op without entries or without ``REPRO_BENCH_WRITE=1``.
+        """
+        if not self.records or not writes_measurements():
             return
         existing = {}
         if self.path.exists():
@@ -106,8 +118,15 @@ def results_dir():
     return RESULTS_DIR
 
 
-def save_rendering(results_dir: Path, name: str, rendered: str) -> None:
-    """Persist a rendered experiment output for post-run inspection."""
+def save_rendering(results_dir: Path, name: str, rendered: str,
+                   timed: bool = False) -> None:
+    """Persist a rendered experiment output for post-run inspection.
+
+    ``timed`` marks a rendering that carries wall-clock times; it is
+    written only under ``REPRO_BENCH_WRITE=1``.
+    """
+    if timed and not writes_measurements():
+        return
     (results_dir / f"{name}.txt").write_text(rendered + "\n", encoding="utf-8")
 
 

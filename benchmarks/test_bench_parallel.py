@@ -96,7 +96,8 @@ def test_bench_parallel_grid(benchmark, bench_context, results_dir):
                                 title=f"grid of {len(specs)} cells "
                                       f"(scale={context.scale.name}, "
                                       f"seed={BENCH_SEED}, "
-                                      f"cpus={available_cpus()})"))
+                                      f"cpus={available_cpus()})"),
+                   timed=True)
 
     BENCH.records["parallel_grid"] = {
         "scale": context.scale.name,
@@ -160,4 +161,5 @@ def test_bench_worker_fleet(benchmark, bench_context, results_dir):
     save_rendering(results_dir, "worker_fleet",
                    "\n".join([f"single service: {len(stream)} requests in "
                               f"{single_s:.3f}s",
-                              report.render()]))
+                              report.render()]),
+                   timed=True)

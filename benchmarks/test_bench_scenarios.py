@@ -68,7 +68,8 @@ def test_bench_scenario_grid(benchmark, bench_context, results_dir):
                    format_table(["scenario", "seconds"], rows,
                                 title=f"scenario grid wall-time "
                                       f"(scale={context.scale.name}, "
-                                      f"seed={BENCH_SEED})"))
+                                      f"seed={BENCH_SEED})"),
+                   timed=True)
 
     BENCH.records["scenario_grid"] = {
         "scale": context.scale.name,

@@ -130,6 +130,26 @@ class JsmaAttack(Attack):
             scores[no_salient] = target_grad[no_salient]
         return scores
 
+    def _binary_scores(self, target_grad: np.ndarray) -> np.ndarray:
+        """:meth:`_feature_scores` of a binary network, from its target row.
+
+        ``target_grad`` is the ``(n, d)`` target-class row of the Jacobian.
+        The two rows of a binary Jacobian are exact negations (see
+        :meth:`NeuralNetwork.class_gradients`), so the other-class gradient
+        is exactly ``-target_grad``: a feature is salient iff its target
+        gradient is positive, and its score ``t * |-t|`` is ``t * t``.  For
+        a finite Jacobian the result is bitwise what :meth:`_feature_scores`
+        returns, without building the other row or the salient conjunction.
+        """
+        if not self.use_saliency_map:
+            return target_grad
+        salient = target_grad > 0
+        scores = np.where(salient, target_grad * target_grad, -np.inf)
+        no_salient = ~salient.any(axis=1)
+        if np.any(no_salient):
+            scores[no_salient] = target_grad[no_salient]
+        return scores
+
     # ------------------------------------------------------------------ #
     # Attack loop
     # ------------------------------------------------------------------ #
@@ -178,8 +198,13 @@ class JsmaAttack(Attack):
         if budget == 0 or constraints.theta == 0.0:
             return self._package(original, adversarial, iterations)
 
-        # Per-sample bookkeeping of which features have been touched.
-        touched = np.zeros((n_samples, n_features), dtype=bool)
+        # Cells no step may pick: outside the mask, saturated at the box
+        # maximum, or (per the budget semantics) already perturbed.  Only a
+        # perturbed cell changes value, so the mask starts from the original
+        # and gains exactly the cells each step perturbs.
+        blocked = ((~modifiable)[None, :]
+                   | (original >= constraints.clip_max - 1e-12))
+        binary = self.network.n_classes == 2
         active = np.ones(n_samples, dtype=bool)
         per_step = self.features_per_step
         n_steps = budget if per_step == 1 else -(-budget // per_step)
@@ -197,6 +222,7 @@ class JsmaAttack(Attack):
             # is needed.
             jacobian, probs = self.network.class_gradients(adversarial[idx],
                                                            return_probs=True)
+            grads = jacobian[:, self.target_class, :] if binary else jacobian
             steps_run = step + 1
             if self.early_stop or recorder is not None or obs is not None:
                 evaded = np.argmax(probs, axis=1) == self.target_class
@@ -211,15 +237,12 @@ class JsmaAttack(Attack):
                     if not np.any(keep):
                         continue
                     idx = idx[keep]
-                    jacobian = jacobian[keep]
-            scores = self._feature_scores(jacobian)
-
-            # Features that cannot be perturbed: outside the mask, already
-            # saturated at the box maximum, or (per the budget semantics)
-            # already used for this sample.
-            saturated = adversarial[idx] >= constraints.clip_max - 1e-12
-            infeasible = (~modifiable)[None, :] | saturated | touched[idx]
-            scores = np.where(infeasible, -np.inf, scores)
+                    grads = grads[keep]
+            scores = (self._binary_scores(grads) if binary
+                      else self._feature_scores(grads))
+            # In place: scores is this step's own array (or a view of this
+            # step's fresh Jacobian when the raw gradient ranks features).
+            scores[blocked[idx]] = -np.inf
 
             if per_step == 1:
                 best = np.argmax(scores, axis=1)
@@ -231,7 +254,7 @@ class JsmaAttack(Attack):
             else:
                 # Top-k selection capped by each sample's remaining budget
                 # (argpartition-based: O(d) per row instead of a full sort).
-                remaining = budget - touched[idx].sum(axis=1)
+                remaining = budget - iterations[idx]
                 k_row = np.minimum(per_step, remaining)
                 k_max = int(max(k_row.max(), 1))
                 order = top_k_indices(scores, k_max)
@@ -248,7 +271,7 @@ class JsmaAttack(Attack):
             old_values = adversarial[rows, cols] if recorder is not None else None
             adversarial[rows, cols] = np.minimum(
                 adversarial[rows, cols] + constraints.theta, constraints.clip_max)
-            touched[rows, cols] = True
+            blocked[rows, cols] = True
             np.add.at(iterations, rows, 1)
             if recorder is not None:
                 recorder.record_step(step, rows, cols, old_values,
@@ -261,7 +284,7 @@ class JsmaAttack(Attack):
         if obs is not None:
             obs.count("jsma.samples", n_samples)
             obs.count("jsma.steps", steps_run)
-            obs.count("jsma.features_flipped", int(touched.sum()))
+            obs.count("jsma.features_flipped", int(iterations.sum()))
             obs.count("jsma.evasions", int(ever_evaded.sum()))
 
         # Safety: the loop construction already satisfies the constraints,

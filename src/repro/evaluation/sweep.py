@@ -11,7 +11,9 @@ collapses to:
    prefix (honouring per-budget early-stop semantics: the log already ends
    where a smaller-budget run would have stopped);
 3. all points × models scored through **one** stacked ``predict`` per
-   model, with the original-input predictions computed once and shared.
+   model, over only the rows that differ from the full-budget run's final
+   matrix (a row whose trajectory fits in a point's budget *is* the final
+   row, so it shares the final row's labels and L2 distance).
 
 Under float64 the resulting :class:`~repro.evaluation.security_curve
 .SecurityCurve` is byte-identical to the per-point path (``as_rows`` and
@@ -59,48 +61,40 @@ def supports_replay(attack) -> bool:
     return bool(getattr(attack, "supports_trajectory", False))
 
 
+def _point_scores(labels: Dict[str, np.ndarray]
+                  ) -> Tuple[Dict[str, float], Dict[str, int]]:
+    """One point's detection rates and evaded counts, per model.
+
+    ``labels`` maps model name to that model's hard predictions.  Evaded
+    counts are read directly off the evasion mask (``prediction == clean``)
+    — no float round-tripping through the rate.
+    """
+    return ({name: detection_rate(point) for name, point in labels.items()},
+            {name: int(np.count_nonzero(point == CLASS_CLEAN))
+             for name, point in labels.items()})
+
+
 def score_sweep_points(models: Dict[str, object],
                        adversarials: Sequence[np.ndarray],
-                       known_predictions: Optional[Dict[str, Dict[int, np.ndarray]]] = None,
                        ) -> Tuple[List[Dict[str, float]], List[Dict[str, int]]]:
     """Detection rates and evaded counts for every (point, model) pair.
 
     One stacked ``predict`` per model over all points' adversarial matrices
-    replaces ``points × models`` separate calls.  Evaded counts are read
-    directly off the evasion mask (``prediction == clean``) — no float
-    round-tripping through the rate.
-
-    ``known_predictions`` maps ``model_name -> {point_index: predictions}``
-    for points whose hard predictions were already computed elsewhere (e.g.
-    the instrumented run's own closing predict covers the max-budget point);
-    those points are excluded from that model's stacked forward pass.
+    replaces ``points × models`` separate calls.
 
     Returns ``(rates, evaded)``: per point, a ``{model_name: value}`` dict.
     """
     if not adversarials:
         return [], []
-    known_predictions = known_predictions or {}
-    rates: List[Dict[str, float]] = [{} for _ in adversarials]
-    evaded: List[Dict[str, int]] = [{} for _ in adversarials]
-    for name, model in models.items():
-        known = known_predictions.get(name, {})
-        fresh_indices = [index for index in range(len(adversarials))
-                         if index not in known]
-        per_point: Dict[int, np.ndarray] = dict(known)
-        if fresh_indices:
-            boundaries = np.cumsum([adversarials[index].shape[0]
-                                    for index in fresh_indices])[:-1]
-            stacked = np.vstack([adversarials[index] for index in fresh_indices])
-            for index, predictions in zip(fresh_indices,
-                                          np.split(model.predict(stacked),
-                                                   boundaries)):
-                per_point[index] = predictions
-        for index in range(len(adversarials)):
-            point_predictions = per_point[index]
-            evasion_mask = point_predictions == CLASS_CLEAN
-            rates[index][name] = detection_rate(point_predictions)
-            evaded[index][name] = int(np.count_nonzero(evasion_mask))
-    return rates, evaded
+    boundaries = np.cumsum([adversarial.shape[0]
+                            for adversarial in adversarials])[:-1]
+    stacked = np.vstack(adversarials)
+    labels = {name: np.split(model.predict(stacked), boundaries)
+              for name, model in models.items()}
+    scores = [_point_scores({name: per_point[index]
+                             for name, per_point in labels.items()})
+              for index in range(len(adversarials))]
+    return [rates for rates, _ in scores], [evaded for _, evaded in scores]
 
 
 @dataclass
@@ -197,28 +191,43 @@ def replay_gamma_sweep(attack_factory: AttackFactory,
     budgets = [attack.constraints.with_strength(gamma=gamma)
                .max_features(n_features) for gamma in gamma_values]
     adversarials = trajectory.materialize_grid(original, budgets)
-    # Max-budget points are byte-identical to the instrumented run's final
-    # matrix, whose crafting-model predictions _package already computed —
-    # feed them back instead of re-predicting those rows.
-    known = {name: {index: full_result.adversarial_predictions
-                    for index, budget in enumerate(budgets)
-                    if budget == trajectory.budget}
-             for name, model in models.items()
-             if model is getattr(attack, "network", None)}
-    rates, evaded = score_sweep_points(models, adversarials,
-                                       known_predictions=known)
+    # A row whose whole trajectory fits in a point's budget is byte-identical
+    # to that row of the instrumented run's final matrix, so it shares the
+    # final row's labels (for the crafting model, the ones _package already
+    # computed) and L2 distance.  Only the other rows of each point are
+    # scored, through one stacked predict per model.
+    final = full_result.adversarial
+    counts = trajectory.perturbation_counts()
+    fresh = [np.flatnonzero(counts > budget) for budget in budgets]
+    fresh_matrix = np.vstack([adversarial[rows]
+                              for adversarial, rows in zip(adversarials, fresh)])
+    boundaries = np.cumsum([rows.size for rows in fresh])[:-1]
+    labels: List[Dict[str, np.ndarray]] = [{} for _ in budgets]
+    for name, model in models.items():
+        settled = (full_result.adversarial_predictions
+                   if model is getattr(attack, "network", None)
+                   else model.predict(final))
+        scored = (np.split(model.predict(fresh_matrix), boundaries)
+                  if fresh_matrix.shape[0]  # detectors reject empty input
+                  else [settled[rows] for rows in fresh])
+        for point, rows, rows_scored in zip(labels, fresh, scored):
+            point[name] = settled.copy()
+            point[name][rows] = rows_scored
+    final_l2 = np.linalg.norm(final - original, axis=1)
 
     curve = SecurityCurve(swept_parameter="gamma", fixed_value=float(theta),
                           attack_name=attack.name)
-    for gamma, budget, adversarial, point_rates, point_evaded in zip(
-            gamma_values, budgets, adversarials, rates, evaded):
+    for gamma, budget, adversarial, rows, point in zip(
+            gamma_values, budgets, adversarials, fresh, labels):
+        l2 = final_l2.copy()
+        l2[rows] = np.linalg.norm(adversarial[rows] - original[rows], axis=1)
+        point_rates, point_evaded = _point_scores(point)
         curve.points.append(SecurityCurvePoint(
             theta=float(theta),
             gamma=float(gamma),
             n_perturbed_features=budget,
             detection_rates=point_rates,
-            mean_l2_distance=float(np.mean(
-                np.linalg.norm(adversarial - original, axis=1))),
+            mean_l2_distance=float(np.mean(l2)),
             evaded_counts=point_evaded,
             swept_parameter="gamma",
         ))

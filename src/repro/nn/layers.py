@@ -43,7 +43,8 @@ class Layer:
     """Base class for all layers.
 
     Subclasses implement :meth:`forward` and :meth:`backward`; layers with
-    trainable state expose it through :meth:`parameters`.
+    trainable state expose it through :meth:`parameters` and override
+    :meth:`backward_input`.
     """
 
     def __init__(self) -> None:
@@ -59,6 +60,22 @@ class Layer:
         Trainable layers also accumulate parameter gradients here.
         """
         raise NotImplementedError
+
+    def backward_input(self, grad_output: np.ndarray) -> np.ndarray:
+        """Backpropagate ``grad_output`` to the inputs only.
+
+        The input-gradient path (``class_gradients``, ``loss_input_gradient``):
+        no parameter gradient is computed and ``Parameter.grad`` is left as
+        it was.  A parameter-free layer's :meth:`backward` already is that;
+        a layer with parameters must override this method, so that its
+        :meth:`backward` is never run just to have its parameter gradients
+        discarded.
+        """
+        if self.parameters():
+            raise NotImplementedError(
+                f"{type(self).__name__} has parameters but no input-only "
+                f"backward_input()")
+        return self.backward(grad_output)
 
     def parameters(self) -> List[Parameter]:
         """Return this layer's trainable parameters (possibly empty)."""
@@ -139,7 +156,18 @@ class Dense(Layer):
             self._wgrad_scratch = scratch
             np.matmul(self._inputs.T, grad_output, out=scratch)
             self.weight.grad += scratch
-            self.bias.grad += grad_output.sum(axis=0)
+        else:
+            self.weight.grad += self._inputs.T @ grad_output
+        self.bias.grad += grad_output.sum(axis=0)
+        return self.backward_input(grad_output)
+
+    def backward_input(self, grad_output: np.ndarray) -> np.ndarray:
+        """``grad_output @ W.T`` alone: no weight or bias gradient."""
+        if self._inputs is None:
+            raise RuntimeError("backward called before forward")
+        weight = self.weight.value
+        grad_output = np.asarray(grad_output, dtype=weight.dtype)
+        if get_engine().reuse_buffers:
             out = ensure_buffer(self._bwd_out, (grad_output.shape[0], self.in_features),
                                 weight.dtype)
             if out is grad_output:
@@ -147,8 +175,6 @@ class Dense(Layer):
             self._bwd_out = out
             np.matmul(grad_output, weight.T, out=out)
             return out
-        self.weight.grad += self._inputs.T @ grad_output
-        self.bias.grad += grad_output.sum(axis=0)
         return grad_output @ weight.T
 
     def parameters(self) -> List[Parameter]:

@@ -186,13 +186,24 @@ class NeuralNetwork:
         """Backpropagate a gradient w.r.t. the logits through every layer.
 
         Returns the gradient with respect to the network input.  Parameter
-        gradients are accumulated as a side effect; callers doing pure
-        input-gradient computations should call :meth:`zero_grad` afterwards
-        (the convenience wrappers below do this automatically).
+        gradients are accumulated as a side effect (the training path);
+        :meth:`backward_input` is the input-gradient-only pass.
         """
         grad = np.asarray(grad_logits)
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
+        return grad
+
+    def backward_input(self, grad_logits: np.ndarray) -> np.ndarray:
+        """Backpropagate to the input only, through every layer.
+
+        Computes no parameter gradient and leaves every ``Parameter.grad``
+        as it was.  The result may alias a reused layer buffer
+        (:mod:`repro.nn.engine`).
+        """
+        grad = np.asarray(grad_logits)
+        for layer in reversed(self.layers):
+            grad = layer.backward_input(grad)
         return grad
 
     def train_step(self, inputs: np.ndarray, targets: np.ndarray,
@@ -217,9 +228,16 @@ class NeuralNetwork:
         For binary classifiers the softmax rows sum to 1, so
         ``dF_0/dx == -dF_1/dx`` and the full Jacobian needs only ONE backward
         pass — this fused path halves the per-step backward cost of JSMA.
+        Row 1 is then the exact negation of row 0, bit for bit.
         ``fused=None`` (the default) selects it automatically when
         ``n_classes == 2``; pass ``fused=False`` to force the per-class loop
         (used by the verification tests and benchmarks).
+
+        Every backward pass is input-only (:meth:`backward_input`): no
+        parameter gradient is computed, and ``Parameter.grad`` is untouched.
+        The result is a transposed view of a contiguous
+        ``(n_classes, n_samples, n_features)`` block, so each class row
+        ``jacobian[:, i, :]`` is one contiguous array.
 
         With ``return_probs=True`` the softmax probabilities from the forward
         pass are returned alongside the Jacobian, letting attack loops reuse
@@ -232,22 +250,19 @@ class NeuralNetwork:
             inputs = inputs.reshape(1, -1)
         logits = self.forward(inputs, training=False)
         probs = softmax(logits, temperature=temp)
-        jacobian = np.empty((inputs.shape[0], self.n_classes, inputs.shape[1]),
-                            dtype=probs.dtype)
+        block = np.empty((self.n_classes,) + inputs.shape, dtype=probs.dtype)
         use_fused = self.n_classes == 2 if fused is None else (fused and self.n_classes == 2)
         if use_fused:
-            grad_logits = softmax_input_gradient(probs, 0, temperature=temp)
-            grad_input = self.backward(grad_logits)
-            jacobian[:, 0, :] = grad_input
-            np.negative(jacobian[:, 0, :], out=jacobian[:, 1, :])
+            block[0] = self.backward_input(
+                softmax_input_gradient(probs, 0, temperature=temp))
+            np.negative(block[0], out=block[1])
         else:
+            # One forward serves every class: backward_input() leaves the
+            # layer caches as they are.
             for class_index in range(self.n_classes):
-                grad_logits = softmax_input_gradient(probs, class_index, temperature=temp)
-                # A fresh forward pass is not needed between classes: layer
-                # caches are untouched by backward(); we only need to discard
-                # the accumulated parameter gradients afterwards.
-                jacobian[:, class_index, :] = self.backward(grad_logits)
-        self.zero_grad()
+                block[class_index] = self.backward_input(
+                    softmax_input_gradient(probs, class_index, temperature=temp))
+        jacobian = block.transpose(1, 0, 2)
         if return_probs:
             return jacobian, probs
         return jacobian
@@ -259,10 +274,9 @@ class NeuralNetwork:
         loss = SoftmaxCrossEntropy(temperature=temp)
         logits = self.forward(inputs, training=False)
         loss.forward(logits, labels)
-        # Copy: backward() may return a reused layer buffer (repro.nn.engine).
-        grad_input = np.array(self.backward(loss.backward()))
-        self.zero_grad()
-        return grad_input
+        # Copy: backward_input() may return a reused layer buffer
+        # (repro.nn.engine).
+        return np.array(self.backward_input(loss.backward()))
 
     # ------------------------------------------------------------------ #
     # Serialization

@@ -400,10 +400,11 @@ class ScoringService:
         return np.asarray(probabilities, dtype=np.float64), np.asarray(labels)
 
     def _verdicts_for(self, requests: Sequence[ScoringRequest],
-                      enqueued_at: Sequence[float]) -> List[Verdict]:
+                      enqueued_at: Sequence[float]) -> Tuple[List[Verdict], float]:
+        """The verdicts and the clock stamp their latencies run up to."""
         features = self._features_of(requests)
         if features.shape[0] == 0:
-            return []
+            return [], self._clock()
         probabilities, labels = self._decide(features)
         finished = self._clock()
         # Hot loop: one Verdict per request per batch — keep lookups local.
@@ -429,7 +430,7 @@ class ScoringService:
                 defense=defense,
                 latency_ms=latency_ms,
             ))
-        return verdicts
+        return verdicts, finished
 
     def _flush_items(self, items: List[Tuple[ScoringRequest, float]]) -> List[Verdict]:
         """One flush attempt: injector site, scoring, breaker accounting.
@@ -443,23 +444,26 @@ class ScoringService:
         """
         with self._obs.span("service.flush", n=len(items)) as flush_span:
             try:
-                verdicts = self._flush_attempt(items)
+                verdicts, finished = self._flush_attempt(items)
             except BaseException:
                 self._obs.count("serve.flush_failures")
                 raise
             self._obs.count("serve.requests", len(verdicts))
             if self._trace_pickups:  # only traced requests have hop spans
-                self._record_request_spans(items, flush_span.started)
+                self._record_request_spans(items, flush_span.started, finished)
             if self._slo is not None:
                 self._feed_slo(verdicts)
             return verdicts
 
     def _record_request_spans(self, items: Sequence[Tuple[ScoringRequest, float]],
-                              flush_started: float) -> None:
-        """Close the per-hop spans of every traced request in the batch."""
+                              flush_started: float, finished: float) -> None:
+        """Close the per-hop spans of every traced request in the batch.
+
+        ``request.score`` ends at ``finished``, the stamp the verdicts'
+        latencies were measured to, so a request's hops sum to its latency.
+        """
         obs = self._obs
         pickups = self._trace_pickups
-        finished = self._clock()
         batch = len(items)
         for request, _ in items:
             trace = request.trace
@@ -489,13 +493,14 @@ class ScoringService:
             self._fallen_back = True
             self._obs.count("serve.fallbacks")
 
-    def _flush_attempt(self, items: List[Tuple[ScoringRequest, float]]) -> List[Verdict]:
+    def _flush_attempt(self, items: List[Tuple[ScoringRequest, float]]
+                       ) -> Tuple[List[Verdict], float]:
         try:
             maybe_fire(self._injector, "service.flush", obs=self._obs,
                        n=len(items))
             requests = [request for request, _ in items]
             enqueued = [started for _, started in items]
-            verdicts = self._verdicts_for(requests, enqueued)
+            verdicts, finished = self._verdicts_for(requests, enqueued)
         except Exception:
             if self._breaker is not None:
                 trips = self._breaker.n_trips
@@ -505,7 +510,7 @@ class ScoringService:
             raise
         if self._breaker is not None:
             self._breaker.record_success()
-        return verdicts
+        return verdicts, finished
 
     # ------------------------------------------------------------------ #
     # Degraded verdicts (shed / error) — never recorded in the tracker
@@ -558,14 +563,16 @@ class ScoringService:
               request_id: Optional[str] = None) -> Verdict:
         """Score one request immediately (batch of one)."""
         request = self.make_request(source, request_id)
-        return self._verdicts_for([request], [self._clock()])[0]
+        verdicts, _ = self._verdicts_for([request], [self._clock()])
+        return verdicts[0]
 
     def score_many(self, sources: Sequence[Union[ScoringRequest, RequestPayload]]
                    ) -> List[Verdict]:
         """Score a whole collection as one fused batch (the offline path)."""
         requests = [self.make_request(source) for source in sources]
         started = self._clock()
-        return self._verdicts_for(requests, [started] * len(requests))
+        verdicts, _ = self._verdicts_for(requests, [started] * len(requests))
+        return verdicts
 
     def submit(self, source: Union[ScoringRequest, RequestPayload],
                request_id: Optional[str] = None,

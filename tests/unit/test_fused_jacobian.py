@@ -3,14 +3,18 @@
 The binary fast path in :meth:`NeuralNetwork.class_gradients` relies on the
 softmax identity ``dF_0/dx == -dF_1/dx``; these tests pin (a) numerical
 agreement with the general per-class loop, (b) the one-backward-pass
-regression guarantee, and (c) float32/float64 engine agreement.
+regression guarantee, (c) float32/float64 engine agreement, and (d) the
+input-only backward: bitwise the training backward's input gradient, with
+parameter gradients left alone.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn.engine import use_dtype
-from repro.nn.layers import Layer
+from repro.nn.activations import softmax, softmax_input_gradient
+from repro.nn.engine import TensorEngine, set_engine, use_dtype
+from repro.nn.layers import Layer, Parameter
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.network import NeuralNetwork
 
 
@@ -111,6 +115,104 @@ class TestBackwardPassCount:
         network, counter = self._counted_network(n_classes=3)
         network.class_gradients(random_batch(6, seed=10))
         assert counter.backward_calls == 3
+
+
+class ScaleLayer(Layer):
+    """A parameterised layer with a training backward only."""
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self.scale = Parameter("scale", np.linspace(0.5, 1.5, width))
+
+    def forward(self, inputs, training=False):
+        self._inputs = inputs
+        return inputs * self.scale.value
+
+    def backward(self, grad_output):
+        self.scale.grad += (grad_output * self._inputs).sum(axis=0)
+        return grad_output * self.scale.value
+
+    def parameters(self):
+        return [self.scale]
+
+    def output_dim(self, input_dim):
+        return input_dim
+
+
+def full_backward_jacobian(network, x, fused):
+    """The Jacobian through the training backward (parameter grads and all)."""
+    probs = softmax(network.forward(x), temperature=network.temperature)
+    classes = [0] if fused else range(network.n_classes)
+    rows = {}
+    for class_index in classes:
+        grad = softmax_input_gradient(probs, class_index,
+                                      temperature=network.temperature)
+        rows[class_index] = np.array(network.backward(grad))
+    if fused:
+        rows[1] = np.negative(rows[0])
+    network.zero_grad()
+    return np.stack([rows[index] for index in range(network.n_classes)], axis=1)
+
+
+class TestInputOnlyBackward:
+    """class_gradients / loss_input_gradient never touch parameter grads."""
+
+    @pytest.fixture(params=[True, False], ids=["reuse", "no-reuse"])
+    def engine(self, request):
+        previous = set_engine(TensorEngine(dtype="float64",
+                                           reuse_buffers=request.param))
+        yield
+        set_engine(previous)
+
+    @pytest.mark.parametrize("sizes,fused", [
+        ([9, 7, 2], True), ([9, 7, 2], False),
+        ([12, 10, 6, 2], True), ([8, 6, 4], False),
+    ])
+    def test_input_only_jacobian_equals_full_backward_bitwise(self, engine,
+                                                              sizes, fused):
+        network = NeuralNetwork.mlp(sizes, activation="tanh", random_state=21)
+        x = random_batch(sizes[0], n_samples=7, seed=21)
+        expected = full_backward_jacobian(network, x, fused and sizes[-1] == 2)
+        jacobian = network.class_gradients(x, fused=fused)
+        assert jacobian.shape == expected.shape
+        assert jacobian.tobytes() == expected.tobytes()
+
+    def test_loss_input_gradient_equals_full_backward_bitwise(self, engine):
+        network = NeuralNetwork.mlp([9, 7, 5, 2], random_state=22)
+        x = random_batch(9, n_samples=6, seed=22)
+        labels = np.array([0, 1, 1, 0, 1, 0])
+        loss = SoftmaxCrossEntropy(temperature=network.temperature)
+        loss.forward(network.forward(x), labels)
+        expected = np.array(network.backward(loss.backward()))
+        network.zero_grad()
+        assert network.loss_input_gradient(x, labels).tobytes() == expected.tobytes()
+
+    def test_preset_parameter_grads_are_left_untouched(self, engine):
+        network = NeuralNetwork.mlp([9, 7, 3], random_state=23)
+        rng = np.random.default_rng(23)
+        for param in network.parameters():
+            param.grad[...] = rng.standard_normal(param.grad.shape)
+        before = [param.grad.copy() for param in network.parameters()]
+        x = random_batch(9, seed=23)
+        network.class_gradients(x)
+        network.class_gradients(x, fused=False)
+        network.loss_input_gradient(x, np.array([0, 1, 2, 0, 1]))
+        for param, grad in zip(network.parameters(), before):
+            assert param.grad.tobytes() == grad.tobytes()
+
+    def test_parameterised_layer_without_override_raises(self):
+        base = NeuralNetwork.mlp([6, 5, 2], random_state=24)
+        scale = ScaleLayer(6)
+        network = NeuralNetwork([scale] + list(base.layers), n_classes=2)
+        x = random_batch(6, seed=24)
+        with pytest.raises(NotImplementedError, match="ScaleLayer"):
+            network.class_gradients(x)
+        with pytest.raises(NotImplementedError, match="ScaleLayer"):
+            network.loss_input_gradient(x, np.zeros(5, dtype=np.int64))
+        assert np.all(scale.scale.grad == 0.0)
+        # The training backward still runs through it.
+        network.backward(np.ones((5, 2)))
+        assert np.any(scale.scale.grad != 0.0)
 
 
 class TestEngineDtypeAgreement:

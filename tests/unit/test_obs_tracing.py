@@ -253,6 +253,56 @@ class TestTraceStamper:
             TraceStamper(obs, sample_every=0)
 
 
+class SteppingClock:
+    """Every read moves time on by one second, so no two reads coincide."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+class TestServiceHopSpans:
+    def test_hops_sum_exactly_to_verdict_latency(self, tiny_context):
+        """A request's hop spans tile enqueue -> verdict with no slack.
+
+        One stepping clock drives the service, its spans and the stamper,
+        so a ``request.score`` span closed on any later clock read than
+        the verdicts' finish stamp would overshoot the latency by a tick.
+        """
+        from repro.serving import ModelRegistry, ScoringService
+        from repro.serving.service import ScoringRequest
+
+        clock = SteppingClock()
+        obs = Instrumentation(sink=ListSink(), clock=clock)
+        stamper = TraceStamper(obs, clock=clock)
+        service = ScoringService(ModelRegistry().get("target", context=tiny_context),
+                                 max_batch_size=3, clock=clock,
+                                 instrumentation=obs)
+        verdicts = []
+        for index, row in enumerate(tiny_context.attack_malware.features[:7]):
+            started = clock()
+            request = stamper.stamp(ScoringRequest(request_id=f"req-{index}",
+                                                   payload=row), started=started)
+            verdicts += service.submit(request, enqueued_at=started)
+        verdicts += service.drain()
+        stamper.finish_all(verdicts)
+
+        collector = SpanCollector()
+        collector.add_events(obs.sink.events)
+        trees = collector.trees()
+        assert sorted(trees) == sorted(verdict.request_id for verdict in verdicts)
+        for verdict in verdicts:
+            tree = trees[verdict.request_id]
+            assert tree.hop_counts() == {key: 1 for key in BREAKDOWN_SPANS.values()}
+            parts = tree.breakdown()
+            hops = sum(parts[key] for key in BREAKDOWN_SPANS.values())
+            assert verdict.latency_ms > 0.0
+            assert hops == verdict.latency_ms
+
+
 # --------------------------------------------------------------------- #
 # Gauge merge determinism
 # --------------------------------------------------------------------- #
