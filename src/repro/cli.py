@@ -98,7 +98,7 @@ from repro.scenarios import (
     DEFENSES,
     MODEL_KINDS,
     ScenarioSpec,
-    build_defense,
+    build_endpoint,
     ensure_registries,
 )
 from repro.utils.artifact_cache import ArtifactCache
@@ -408,22 +408,6 @@ def load_scoring_source(path: Path):
     return ApiLog.from_text(text, sample_id=path.stem)
 
 
-def _resolve_detector(args, servable, context, registry=None):
-    """Resolve the endpoint defense through the DefenseRegistry.
-
-    Scenario bundles registered on the model registry carry their own
-    defense; otherwise the ``--defense`` flag names a registry entry, fitted
-    over the served bundle's model.  ``"none"`` serves the bare model.
-    """
-    if registry is not None:
-        detector = registry.detector_for(args.model, context)
-        if detector is not None:
-            return detector
-    if DEFENSES.get(args.defense).entry_id == "none":
-        return None
-    return build_defense(args.defense, context, model=servable.model)
-
-
 def _serve_summary_lines(args, servable, verdicts, endpoint_line: str,
                          scored_suffix: str = "") -> list:
     """The traffic/verdict lines `serve` prints in both execution modes."""
@@ -631,9 +615,8 @@ def _cmd_serve(args) -> int:
         _emit("serve", "\n".join(lines), args.out)
         return 0
 
-    registry = ModelRegistry(cache=cache)
-    servable = registry.get(args.model, context=context)
-    detector = _resolve_detector(args, servable, context, registry=registry)
+    servable = ModelRegistry(cache=cache).get(args.model, context=context)
+    detector = build_endpoint(args.defense, context, model=servable.model)
     injector = (plan.injector(scope={"worker": 0})
                 if plan is not None else None)
     slo = None
@@ -763,9 +746,8 @@ def _cmd_score(args) -> int:
     cache = _cache_from(args.cache_dir)
     context = ExperimentContext(scale=get_profile(args.scale), seed=args.seed,
                                 cache=cache, dtype=args.dtype)
-    registry = ModelRegistry(cache=cache)
-    servable = registry.get(args.model, context=context)
-    detector = _resolve_detector(args, servable, context, registry=registry)
+    servable = ModelRegistry(cache=cache).get(args.model, context=context)
+    detector = build_endpoint(args.defense, context, model=servable.model)
     service = ScoringService(servable, detector=detector, threshold=args.threshold)
     verdict = service.score(source, request_id=args.log_file.stem)
     _emit("score", json.dumps(verdict.as_dict(), indent=2, sort_keys=True), args.out)
@@ -843,11 +825,12 @@ def _fill_spec_defaults(spec: ScenarioSpec, args) -> ScenarioSpec:
 def _run_specs_for_cli(specs, args):
     """Run CLI-assembled specs through the grid executor and emit the result."""
     from repro.parallel import GridExecutor
+    from repro.reliability import RetryPolicy
 
     executor = GridExecutor(n_workers=args.workers or None,
                             cache=_cache_from(args.cache_dir),
-                            retries=getattr(args, "retries", 0),
-                            shard_timeout_s=getattr(args, "shard_timeout", None))
+                            retry_policy=RetryPolicy(max_retries=args.retries),
+                            shard_timeout_s=args.shard_timeout)
     result = executor.run(specs)
     if args.as_json:
         rendered = result.to_json()

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.instrument import Instrumentation
 
@@ -98,24 +98,6 @@ class SLOSpec:
                              f"got {self.on_breach!r}")
         if self.min_events < 1:
             raise ValueError(f"min_events must be >= 1, got {self.min_events}")
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict form (fleet worker config transport)."""
-        return {"name": self.name, "objective": self.objective,
-                "target_ms": self.target_ms,
-                "fast_window_s": self.fast_window_s,
-                "slow_window_s": self.slow_window_s,
-                "fast_burn": self.fast_burn, "slow_burn": self.slow_burn,
-                "min_events": self.min_events, "on_breach": self.on_breach}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "SLOSpec":
-        """Inverse of :meth:`as_dict`."""
-        known = {key: payload[key] for key in (
-            "name", "objective", "target_ms", "fast_window_s",
-            "slow_window_s", "fast_burn", "slow_burn", "min_events",
-            "on_breach") if key in payload}
-        return cls(**known)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ allows:
 
 * :mod:`repro.parallel.grid` — :class:`GridExecutor` shards a list of
   :class:`~repro.scenarios.ScenarioSpec` cells across a ``multiprocessing``
-  pool; workers warm-start their
-  :class:`~repro.experiments.context.ExperimentContext` (fork inheritance
-  or artifact-cache reload) and reports merge **in spec order**, so a
-  parallel grid is byte-identical to a serial one under float64;
+  pool; workers receive the parent's prewarmed
+  :class:`~repro.experiments.context.ExperimentContext` objects (inherited
+  under ``fork``, unpickled under ``spawn``) and reports merge **in spec
+  order**, so a parallel grid is byte-identical to a serial one under
+  float64;
 * :mod:`repro.parallel.fleet` — :class:`WorkerFleet` replicates the
   :class:`~repro.serving.service.ScoringService` across N worker processes
   behind one dispatch queue, each replica micro-batching independently,

@@ -12,13 +12,15 @@ its latency and arrives from exactly one replica — so a replica that dies
 mid-stream still accounts for every verdict it delivered.
 
 The bundle every replica serves is built **once** in the dispatcher process
-(cold build or cache warm start) before the workers launch: under ``fork``
-the workers inherit the live servable/detector, under ``spawn`` they reload
-it from the shared artifact cache.  Because every replica serves the same
-versioned bundle, verdict *contents* (probability, label, model version) are
-identical to a single service's — only latency observations differ — and
-results are merged in submission order, so a fleet replay is deterministic
-apart from timing.
+(cold build or cache warm start) before the workers launch, and each replica
+receives the built servable and endpoint detector as process arguments: a
+``fork`` replica inherits them, a ``spawn`` replica unpickles them.  The
+networks carry their weights' dtype, so a replica computes in the
+dispatcher's dtype under either start method.  Because every replica serves
+the same versioned bundle, verdict *contents* (probability, label, model
+version) are identical to a single service's — only latency observations
+differ — and results are merged in submission order, so a fleet replay is
+deterministic apart from timing.
 
 Supervision
 -----------
@@ -45,16 +47,14 @@ from __future__ import annotations
 import os
 import queue as queue_module
 import time
-from dataclasses import asdict as dataclass_asdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.config import ScaleProfile
 from repro.exceptions import ParallelError
 from repro.experiments.context import ExperimentContext
-from repro.obs import Instrumentation, ListSink, instrumented
+from repro.obs import Instrumentation, ListSink
 from repro.obs.slo import SLOMonitor, SLOSpec
 from repro.obs.spans import TraceStamper
 from repro.parallel.pool import (
@@ -71,68 +71,38 @@ from repro.reliability import (
     maybe_fire,
 )
 from repro.serving.stats import LatencyTracker, ThroughputReport
-from repro.utils.artifact_cache import ArtifactCache
 
 __all__ = ["WorkerFleet", "FleetReport"]
 
-#: Live objects staged for ``fork`` workers: the parent-built servable and
-#: detector.  Populated only while worker processes are being launched.
-_FLEET_FORK_STATE: Dict[str, object] = {}
-
 #: How often the dispatcher wakes from the result queue to poll liveness.
 _LIVENESS_POLL_S = 0.25
+
+#: How long the fleet may make *no progress* before it is declared wedged.
+_WEDGED_AFTER_S = 300.0
 
 #: Per-worker cap on buffered ObsEvents shipped back with the stats message
 #: (oldest dropped first; the drop count travels in the snapshot).
 _WORKER_OBS_EVENT_CAP = 4096
 
 
-def _build_service(config: Mapping[str, object],
-                   injector: Optional[FaultInjector] = None,
-                   instrumentation: Optional[Instrumentation] = None):
-    """Build one worker's ScoringService (inheriting fork state if present)."""
-    from repro.serving.registry import ModelRegistry
+def _build_service(servable, detector, options: Mapping[str, object],
+                   injector: Optional[FaultInjector],
+                   instrumentation: Instrumentation):
+    """One replica's ScoringService around the dispatcher-built bundle."""
     from repro.serving.service import ScoringService
 
-    servable = _FLEET_FORK_STATE.get("servable")
-    detector = _FLEET_FORK_STATE.get("detector")
-    if servable is None:
-        cache = (ArtifactCache(config["cache_root"])
-                 if config.get("cache_root") else None)
-        context = ExperimentContext(
-            scale=ScaleProfile(**config["scale_fields"]),
-            seed=config["seed"], cache=cache, dtype=config["dtype"])
-        registry = ModelRegistry(cache=cache)
-        servable = registry.get(config["model"], context=context)
-        detector = _build_detector(config, context, servable)
-    retry_payload = config.get("retry_policy")
-    slo_payload = config.get("slo")
-    slo = (SLOMonitor([SLOSpec.from_dict(spec) for spec in slo_payload],
-                      instrumentation=instrumentation)
-           if slo_payload else None)
+    slo_specs = options["slo_specs"]
     return ScoringService(
-        servable, detector=detector, threshold=config["threshold"],
-        max_batch_size=config["max_batch_size"],
-        max_delay_ms=config["max_delay_ms"],
-        retry_policy=(RetryPolicy.from_dict(retry_payload)
-                      if retry_payload is not None else None),
+        servable, detector=detector, threshold=options["threshold"],
+        max_batch_size=options["max_batch_size"],
+        max_delay_ms=options["max_delay_ms"],
+        retry_policy=options["retry_policy"],
         # A poison request must cost one error verdict, not one replica.
         isolate_poison=True,
         injector=injector,
         instrumentation=instrumentation,
-        slo=slo)
-
-
-def _build_detector(config: Mapping[str, object], context: ExperimentContext,
-                    servable):
-    from repro.scenarios.registry import DEFENSES, build_defense, ensure_registries
-
-    ensure_registries()
-    if DEFENSES.get(config["defense"]).entry_id == "none":
-        return None
-    return build_defense(config["defense"], context,
-                         config.get("defense_params") or {},
-                         model=servable.model)
+        slo=(SLOMonitor(slo_specs, instrumentation=instrumentation)
+             if slo_specs else None))
 
 
 def _n_batches(snapshot: Mapping[str, object]) -> int:
@@ -141,10 +111,14 @@ def _n_batches(snapshot: Mapping[str, object]) -> int:
     return int(histogram["count"]) if histogram else 0
 
 
-def _fleet_worker(worker_id: int, config: Dict[str, object],
+def _fleet_worker(worker_id: int, servable, detector,
+                  options: Mapping[str, object],
                   task_queue, result_queue) -> None:
     """One replica: pull requests, micro-batch them, ship verdicts back.
 
+    ``servable`` and ``detector`` are the dispatcher's built bundle and
+    ``options`` the service settings, fault plan, SLO specs and observe
+    flag, all received as process arguments (see :meth:`WorkerFleet.start`).
     Protocol on ``result_queue``: ``("ready", id, None)`` after startup,
     ``("claim", id, seq)`` the moment a request is pulled off the dispatch
     queue, ``("verdicts", id, [(seq, Verdict), ...])`` per flush,
@@ -157,9 +131,9 @@ def _fleet_worker(worker_id: int, config: Dict[str, object],
     """
     from dataclasses import replace as dataclass_replace
 
-    plan_payload = config.get("fault_plan")
-    injector = (FaultPlan.from_dict(plan_payload).injector(
-        scope={"worker": worker_id}) if plan_payload else None)
+    fault_plan = options["fault_plan"]
+    injector = (fault_plan.injector(scope={"worker": worker_id})
+                if fault_plan is not None else None)
     # Every replica counts into its own registry and ships the snapshot
     # home inside its final stats (or dying-gasp) message — no extra queue,
     # no extra pickle per verdict.  When the dispatcher observes, the
@@ -169,14 +143,10 @@ def _fleet_worker(worker_id: int, config: Dict[str, object],
     # replica's in a stitched trace.
     obs = Instrumentation(
         sink=(ListSink(max_events=_WORKER_OBS_EVENT_CAP)
-              if config.get("observe") else None),
+              if options["observe"] else None),
         tags={"worker": worker_id}, namespace=worker_id + 1)
     try:
-        # Ambient scope covers the bundle build too, so warm-start cache
-        # hits/misses of spawn workers land in the worker's counters.
-        with instrumented(obs):
-            service = _build_service(config, injector=injector,
-                                     instrumentation=obs)
+        service = _build_service(servable, detector, options, injector, obs)
     except BaseException as error:  # noqa: BLE001 - shipped to the dispatcher
         result_queue.put(("failed", worker_id,
                           RemoteFailure.capture(f"worker {worker_id} startup",
@@ -284,20 +254,16 @@ class WorkerFleet:
     ----------
     n_workers:
         Replica count (``None``/``0`` = one per CPU).
-    model / defense / defense_params / threshold:
+    model / defense / threshold:
         What each replica serves — a registered bundle name plus an optional
-        DefenseRegistry endpoint, exactly like the single-service ``serve``
-        path.
+        DefenseRegistry endpoint (fitted with its default parameters),
+        exactly like the single-service ``serve`` path.
     context:
         The :class:`~repro.experiments.context.ExperimentContext` the bundle
-        is built from (``None`` = ``ExperimentContext()``).  Attach a cache
-        to it so ``spawn`` workers can warm-start; the CLI passes its own so
-        the load generator and the fleet share artifacts.
+        is built from (``None`` = ``ExperimentContext()``).  The CLI passes
+        its own so the load generator and the fleet share artifacts.
     max_batch_size / max_delay_ms:
         Per-replica micro-batching knobs.
-    timeout_s:
-        Dispatcher-side guard: how long the fleet may make *no progress*
-        before it is declared wedged.
     restart_budget:
         How many dead replicas one :meth:`score_stream` call may replace
         before giving up on restarts (in-flight requests of a dead replica
@@ -342,28 +308,33 @@ class WorkerFleet:
 
     def __init__(self, n_workers: Optional[int] = None, model: str = "target",
                  defense: str = "none",
-                 defense_params: Optional[Mapping[str, object]] = None,
                  threshold: float = 0.5,
                  context: Optional[ExperimentContext] = None,
                  max_batch_size: int = 32, max_delay_ms: float = 2.0,
                  start_method: Optional[str] = None,
-                 timeout_s: float = 300.0,
                  restart_budget: int = 2,
                  fault_plan: Optional[FaultPlan] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  instrumentation: Optional[Instrumentation] = None,
                  trace_sample_every: int = 1,
                  slo_specs: Optional[Sequence[SLOSpec]] = None) -> None:
+        # Each replica's service checks these too, but only after the fleet
+        # has started processes; a bad setting must fail before that.
+        if not 0.0 <= threshold <= 1.0:
+            raise ParallelError(f"threshold must lie in [0, 1], got {threshold}")
+        if max_batch_size < 1:
+            raise ParallelError(
+                f"max_batch_size must be >= 1, got {max_batch_size}")
+        if max_delay_ms < 0:
+            raise ParallelError(f"max_delay_ms must be >= 0, got {max_delay_ms}")
         self.n_workers = resolve_workers(n_workers)
         self.model = model
         self.defense = defense
-        self.defense_params = dict(defense_params or {})
         self.threshold = float(threshold)
         self.context = context if context is not None else ExperimentContext()
         self.max_batch_size = int(max_batch_size)
         self.max_delay_ms = float(max_delay_ms)
         self.start_method = resolve_start_method(start_method)
-        self.timeout_s = float(timeout_s)
         if restart_budget < 0:
             raise ParallelError(
                 f"restart_budget must be >= 0, got {restart_budget}")
@@ -379,7 +350,7 @@ class WorkerFleet:
         self.servable = None
         self._detector = None
         self._mp_context = None
-        self._worker_config: Optional[Dict[str, object]] = None
+        self._options: Optional[Dict[str, object]] = None
         self._next_worker_id = 0
         self._processes: Dict[int, object] = {}
         self._task_queue = None
@@ -388,46 +359,16 @@ class WorkerFleet:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def _config(self) -> Dict[str, object]:
-        context = self.context
-        return {
-            "scale_fields": dataclass_asdict(context.scale),
-            "seed": context.seed,
-            "dtype": str(context.dtype) if context.dtype is not None else None,
-            "cache_root": (str(context.cache.root)
-                           if context.cache is not None else None),
-            "model": self.model,
-            "defense": self.defense,
-            "defense_params": self.defense_params,
-            "threshold": self.threshold,
-            "max_batch_size": self.max_batch_size,
-            "max_delay_ms": self.max_delay_ms,
-            "fault_plan": (self.fault_plan.to_dict()
-                           if self.fault_plan is not None else None),
-            "retry_policy": (self.retry_policy.to_dict()
-                             if self.retry_policy is not None else None),
-            "observe": self.instrumentation is not None,
-            "slo": ([spec.as_dict() for spec in self.slo_specs]
-                    if self.slo_specs else None),
-        }
-
     def _spawn_worker(self) -> int:
         """Launch one replica (initial launch and supervised restarts)."""
         worker_id = self._next_worker_id
         self._next_worker_id += 1
-        try:
-            if self.start_method == "fork":
-                _FLEET_FORK_STATE["servable"] = self.servable
-                _FLEET_FORK_STATE["detector"] = self._detector
-            process = self._mp_context.Process(
-                target=_fleet_worker,
-                args=(worker_id, self._worker_config, self._task_queue,
-                      self._result_queue),
-                daemon=True)
-            process.start()
-        finally:
-            # fork snapshots state inside Process.start(); safe to unstage.
-            _FLEET_FORK_STATE.clear()
+        process = self._mp_context.Process(
+            target=_fleet_worker,
+            args=(worker_id, self.servable, self._detector, self._options,
+                  self._task_queue, self._result_queue),
+            daemon=True)
+        process.start()
         self._processes[worker_id] = process
         return worker_id
 
@@ -437,14 +378,23 @@ class WorkerFleet:
             return self
         import multiprocessing
 
+        from repro.scenarios.registry import build_endpoint
         from repro.serving.registry import ModelRegistry
 
         self._mp_context = multiprocessing.get_context(self.start_method)
         registry = ModelRegistry(cache=self.context.cache)
         self.servable = registry.get(self.model, context=self.context)
-        config = self._config()
-        self._detector = _build_detector(config, self.context, self.servable)
-        self._worker_config = config
+        self._detector = build_endpoint(self.defense, self.context,
+                                        model=self.servable.model)
+        self._options = {
+            "threshold": self.threshold,
+            "max_batch_size": self.max_batch_size,
+            "max_delay_ms": self.max_delay_ms,
+            "retry_policy": self.retry_policy,
+            "fault_plan": self.fault_plan,
+            "slo_specs": self.slo_specs,
+            "observe": self.instrumentation is not None,
+        }
         self._task_queue = self._mp_context.Queue()
         self._result_queue = self._mp_context.Queue()
         for _ in range(self.n_workers):
@@ -497,7 +447,7 @@ class WorkerFleet:
     # ------------------------------------------------------------------ #
     def _get_result(self) -> Tuple[str, int, object]:
         try:
-            return self._result_queue.get(timeout=self.timeout_s)
+            return self._result_queue.get(timeout=_WEDGED_AFTER_S)
         except queue_module.Empty:
             dead = [worker_id for worker_id, process in self._processes.items()
                     if not process.is_alive()]
@@ -505,7 +455,7 @@ class WorkerFleet:
             # behind would make the next start() reuse their stale queues.
             self.close()
             raise ParallelError(
-                f"fleet produced no results for {self.timeout_s:.0f}s "
+                f"fleet produced no results for {_WEDGED_AFTER_S:.0f}s "
                 f"(dead workers: {dead or 'none'})") from None
 
     def score_stream(self, requests: Sequence,
@@ -648,10 +598,10 @@ class WorkerFleet:
                     handle_death(dead_id)
                     last_progress = time.monotonic()
                 report_progress([])
-                if time.monotonic() - last_progress > self.timeout_s:
+                if time.monotonic() - last_progress > _WEDGED_AFTER_S:
                     self.close()
                     raise ParallelError(
-                        f"fleet made no progress for {self.timeout_s:.0f}s "
+                        f"fleet made no progress for {_WEDGED_AFTER_S:.0f}s "
                         f"({len(verdicts)}/{n_expected} verdicts in)")
                 continue
             last_progress = time.monotonic()

@@ -3,11 +3,13 @@
 :class:`GridExecutor` takes a list of
 :class:`~repro.scenarios.spec.ScenarioSpec` cells — typically from
 ``ScenarioSpec.grid`` — and shards them across a ``multiprocessing`` worker
-pool.  Each worker resolves its own
-:class:`~repro.experiments.context.ExperimentContext` (inherited from the
-prewarmed parent under ``fork``, or warm-started from the shared
-:class:`~repro.utils.artifact_cache.ArtifactCache` under ``spawn``), runs
-:func:`repro.scenarios.run_scenario`, and ships the pickled
+pool.  The parent resolves the
+:class:`~repro.experiments.context.ExperimentContext` every cell runs under
+and builds the artifacts the cells need once; the pool initializer hands
+each worker those context objects as process arguments, which a ``fork``
+worker inherits and a ``spawn`` worker unpickles.  Either way no worker
+rebuilds or retrains anything.  Each worker runs
+:func:`repro.scenarios.run_scenario` and ships the pickled
 :class:`~repro.scenarios.runner.ScenarioReport` back.
 
 Determinism contract
@@ -20,8 +22,8 @@ non-deterministic field).  The shuffled-shard regression tests pin this.
 
 Reliability
 -----------
-``retries``/``shard_timeout_s`` supervise individual cells: a failed cell
-is re-run with exponential backoff + deterministic jitter (the jitter
+``retry_policy``/``shard_timeout_s`` supervise individual cells: a failed
+cell is re-run with exponential backoff + deterministic jitter (the jitter
 stream is keyed on the cell index, so concurrent retriers spread out
 reproducibly), and a cell that exceeds the per-shard timeout is re-
 dispatched — the hung attempt's eventual result is discarded, since a pool
@@ -38,13 +40,14 @@ are counted once, in the executor's instrumentation; the
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.config import ScaleProfile, get_profile
+from repro.config import get_profile
 from repro.exceptions import ParallelError
 from repro.experiments.context import ExperimentContext
+from repro.nn.engine import compute_dtype, set_default_dtype
 from repro.obs.instrument import Instrumentation
 from repro.obs.instrument import current as current_instrumentation
 from repro.parallel.pool import (
@@ -63,12 +66,6 @@ from repro.utils.artifact_cache import ArtifactCache
 
 __all__ = ["GridExecutor", "GridResult", "run_spec_reports"]
 
-#: Live objects the parent stages for ``fork`` workers to inherit: either a
-#: single shared context (``"context"``) or a per-(scale, seed, dtype) map
-#: (``"contexts"``).  Only ever populated for the duration of one
-#: :meth:`GridExecutor.run` call.
-_FORK_STATE: Dict[str, object] = {}
-
 #: Per-worker-process state, set once by :func:`_init_worker`.
 _WORKER: Dict[str, object] = {}
 
@@ -78,22 +75,32 @@ def _context_key(spec: ScenarioSpec) -> Tuple[Optional[str], int, Optional[str]]
     return (spec.scale, spec.seed, spec.dtype)
 
 
-def _build_context(spec: ScenarioSpec,
-                   cache: Optional[ArtifactCache]) -> ExperimentContext:
-    """A fresh context for ``spec`` (mirrors ``run_scenario``'s own default)."""
-    scale = get_profile(spec.scale) if spec.scale is not None else None
-    return ExperimentContext(scale=scale, seed=spec.seed, cache=cache,
-                             dtype=spec.dtype)
+def _cell_contexts(specs: Sequence[ScenarioSpec],
+                   context: Optional[ExperimentContext],
+                   cache: Optional[ArtifactCache]
+                   ) -> Dict[Tuple, ExperimentContext]:
+    """Map each spec's (scale, seed, dtype) key to the context it runs under.
+
+    ``context`` governs every cell when given (``run_scenario``'s
+    semantics); otherwise each key gets a fresh context built from its own
+    triple (mirroring ``run_scenario``'s default), so cells that share a
+    key share one corpus and one set of models.
+    """
+    contexts: Dict[Tuple, ExperimentContext] = {}
+    for spec in specs:
+        key = _context_key(spec)
+        if context is not None:
+            contexts[key] = context
+        elif key not in contexts:
+            scale = get_profile(spec.scale) if spec.scale is not None else None
+            contexts[key] = ExperimentContext(scale=scale, seed=spec.seed,
+                                              cache=cache, dtype=spec.dtype)
+    return contexts
 
 
 def _warm_context(context: ExperimentContext,
                   specs: Sequence[ScenarioSpec]) -> None:
-    """Build the artifacts ``specs`` will need, in the current process.
-
-    Under ``fork`` this runs in the parent so every worker inherits the
-    trained models for free; under ``spawn`` it populates the artifact cache
-    the workers warm-start from.
-    """
+    """Build the artifacts ``specs`` will need, in the parent process."""
     _ = context.corpus
     _ = context.target_model
     if any(spec.model == "substitute" for spec in specs):
@@ -102,48 +109,20 @@ def _warm_context(context: ExperimentContext,
         _ = context.binary_substitute
 
 
-def _init_worker(payload: Mapping[str, object]) -> None:
-    """Pool initializer: stage per-process context resolution state."""
+def _init_worker(contexts: Mapping[Tuple, ExperimentContext],
+                 fault_plan: Optional[FaultPlan], dtype) -> None:
+    """Pool initializer: keep the parent's contexts and arm its fault plan.
+
+    ``contexts`` arrive as process arguments, inherited under ``fork`` and
+    unpickled under ``spawn``.  A pickled context does not carry the
+    parent's in-process engine dtype (a surrounding ``use_dtype`` block), so
+    the worker adopts the parent's ``dtype`` before running any cell.
+    """
+    set_default_dtype(dtype)
     _WORKER.clear()
-    _WORKER["cache_root"] = payload.get("cache_root")
-    _WORKER["shared"] = payload.get("shared")
-    _WORKER["contexts"] = {}
-    plan_payload = payload.get("fault_plan")
-    _WORKER["injector"] = (FaultPlan.from_dict(plan_payload).injector()
-                           if plan_payload else None)
-    # Fork children see the parent's staged live objects; spawn children get
-    # an empty mapping and fall back to cache-backed rebuilds.
-    if _FORK_STATE.get("context") is not None:
-        _WORKER["shared_context"] = _FORK_STATE["context"]
-    if _FORK_STATE.get("contexts"):
-        _WORKER["contexts"] = dict(_FORK_STATE["contexts"])
-
-
-def _worker_cache() -> Optional[ArtifactCache]:
-    root = _WORKER.get("cache_root")
-    return ArtifactCache(root) if root else None
-
-
-def _worker_context(spec: ScenarioSpec) -> ExperimentContext:
-    """Resolve the context one grid cell runs under, inside the worker."""
-    shared_context = _WORKER.get("shared_context")
-    if shared_context is not None:
-        return shared_context
-    shared = _WORKER.get("shared")
-    if shared is not None:
-        # An explicit context governed the run but could not be inherited
-        # (spawn): rebuild its equivalent once per worker process.
-        if "rebuilt_shared" not in _WORKER:
-            _WORKER["rebuilt_shared"] = ExperimentContext(
-                scale=ScaleProfile(**shared["scale_fields"]),
-                seed=shared["seed"], cache=_worker_cache(),
-                dtype=shared["dtype"])
-        return _WORKER["rebuilt_shared"]
-    contexts: Dict[Tuple, ExperimentContext] = _WORKER["contexts"]
-    key = _context_key(spec)
-    if key not in contexts:
-        contexts[key] = _build_context(spec, _worker_cache())
-    return contexts[key]
+    _WORKER["contexts"] = contexts
+    _WORKER["injector"] = (fault_plan.injector()
+                           if fault_plan is not None else None)
 
 
 def _run_cell(task: Tuple[int, ScenarioSpec, int]):
@@ -158,9 +137,10 @@ def _run_cell(task: Tuple[int, ScenarioSpec, int]):
 
     index, spec, attempt = task
     try:
-        maybe_fire(_WORKER.get("injector"), "grid.cell",
+        maybe_fire(_WORKER["injector"], "grid.cell",
                    cell=index, attempt=attempt)
-        return index, run_scenario(spec, context=_worker_context(spec))
+        context = _WORKER["contexts"][_context_key(spec)]
+        return index, run_scenario(spec, context=context)
     except BaseException as error:  # noqa: BLE001 - shipped to the parent
         return index, RemoteFailure.capture(
             where=f"cell {index} ({spec.label or spec.describe()}, "
@@ -264,27 +244,19 @@ class GridExecutor:
         byte-for-byte.
     cache:
         Optional :class:`~repro.utils.artifact_cache.ArtifactCache` (or cache
-        root path) workers warm-start their contexts from.  Strongly
-        recommended under ``spawn``; under ``fork`` the prewarmed parent
-        state is inherited directly and the cache is a bonus.
+        root path) the per-key contexts persist their artifacts in, so a
+        later run warm-starts.  Unused when :meth:`run` gets a ``context``,
+        which brings its own cache.
     start_method:
         ``multiprocessing`` start method (default: ``fork`` where available,
         overridable with ``REPRO_PARALLEL_START_METHOD``).
-    prewarm:
-        Build the corpus/models each spec needs once in the parent before
-        forking (or, under ``spawn``, into the cache) so workers never
-        duplicate training.  Disable only to measure cold-worker behaviour.
-    retries:
-        Extra attempts a failed cell gets before its failure is final
-        (``0``, the default, preserves fail-fast semantics).
     shard_timeout_s:
         Per-cell wall-clock budget in the pooled path; an attempt past the
         budget is abandoned and re-dispatched (counted as a timeout).
         ``None`` disables the watchdog.
     retry_policy:
-        Backoff schedule for retries; defaults to
-        ``RetryPolicy(max_retries=retries)``.  When given, its
-        ``max_retries`` wins over ``retries``.
+        How often and after what backoff a failed cell is re-run; defaults
+        to ``RetryPolicy(max_retries=0)``, which fails fast.
     fault_plan:
         Optional :class:`~repro.reliability.faults.FaultPlan` arming the
         ``grid.cell`` site in every worker (and in the serial path).
@@ -302,8 +274,6 @@ class GridExecutor:
     def __init__(self, n_workers: Optional[int] = None,
                  cache: Optional[Union[ArtifactCache, str, Path]] = None,
                  start_method: Optional[str] = None,
-                 prewarm: bool = True,
-                 retries: int = 0,
                  shard_timeout_s: Optional[float] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  fault_plan: Optional[FaultPlan] = None,
@@ -313,14 +283,11 @@ class GridExecutor:
             cache = ArtifactCache(cache)
         self.cache = cache
         self.start_method = resolve_start_method(start_method)
-        self.prewarm = prewarm
-        if retries < 0:
-            raise ParallelError(f"retries must be >= 0, got {retries}")
         if shard_timeout_s is not None and shard_timeout_s <= 0:
             raise ParallelError(
                 f"shard_timeout_s must be > 0, got {shard_timeout_s}")
         self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy(max_retries=retries))
+                             else RetryPolicy(max_retries=0))
         self.shard_timeout_s = shard_timeout_s
         self.fault_plan = fault_plan
         self.instrumentation = instrumentation
@@ -333,9 +300,9 @@ class GridExecutor:
         """Run every spec and return reports merged in spec order.
 
         ``context`` (optional) governs **all** cells — mirroring
-        ``run_scenario``'s semantics — and is inherited by fork workers
-        as-is; without it each cell resolves a context from its own
-        (scale, seed, dtype) triple, shared per triple within a process.
+        ``run_scenario``'s semantics; without it each cell runs under a
+        context built from its own (scale, seed, dtype) triple, one per
+        triple.  Pool workers receive the very same context objects.
         """
         specs = [spec if isinstance(spec, ScenarioSpec)
                  else ScenarioSpec.from_dict(spec) for spec in specs]
@@ -348,10 +315,11 @@ class GridExecutor:
         if obs is None:
             obs = current_instrumentation() or Instrumentation()
         since = obs.metrics.snapshot()
+        contexts = _cell_contexts(specs, context, self.cache)
         if n_workers == 1:
-            reports = self._run_serial(specs, context, obs)
+            reports = self._run_serial(specs, contexts, obs)
         else:
-            reports = self._run_pool(specs, context, n_workers, obs)
+            reports = self._run_pool(specs, contexts, n_workers, obs)
         return GridResult(
             reports=reports, elapsed_s=time.perf_counter() - started,
             n_workers=n_workers,
@@ -363,22 +331,15 @@ class GridExecutor:
     # Serial baseline
     # ------------------------------------------------------------------ #
     def _run_serial(self, specs: Sequence[ScenarioSpec],
-                    context: Optional[ExperimentContext],
+                    contexts: Mapping[Tuple, ExperimentContext],
                     obs: Instrumentation) -> List:
         from repro.scenarios.runner import run_scenario
 
         injector = (self.fault_plan.injector()
                     if self.fault_plan is not None else None)
-        contexts: Dict[Tuple, ExperimentContext] = {}
         reports = []
         for cell_index, spec in enumerate(specs):
-            if context is not None:
-                cell_context = context
-            else:
-                key = _context_key(spec)
-                if key not in contexts:
-                    contexts[key] = _build_context(spec, self.cache)
-                cell_context = contexts[key]
+            cell_context = contexts[_context_key(spec)]
             attempt = 0
             while True:
                 try:
@@ -401,52 +362,21 @@ class GridExecutor:
     # ------------------------------------------------------------------ #
     # Process pool
     # ------------------------------------------------------------------ #
-    def _cache_root(self, context: Optional[ExperimentContext]) -> Optional[str]:
-        if context is not None and context.cache is not None:
-            return str(context.cache.root)
-        return str(self.cache.root) if self.cache is not None else None
-
     def _run_pool(self, specs: Sequence[ScenarioSpec],
-                  context: Optional[ExperimentContext], n_workers: int,
+                  contexts: Mapping[Tuple, ExperimentContext], n_workers: int,
                   obs: Instrumentation) -> List:
         import multiprocessing
 
+        # Build every artifact once, here: the workers receive these objects.
+        for key, key_context in contexts.items():
+            _warm_context(key_context,
+                          [spec for spec in specs if _context_key(spec) == key])
         mp_context = multiprocessing.get_context(self.start_method)
-        payload: Dict[str, object] = {"cache_root": self._cache_root(context)}
-        if self.fault_plan is not None:
-            payload["fault_plan"] = self.fault_plan.to_dict()
-        try:
-            if context is not None:
-                if self.prewarm:
-                    _warm_context(context, specs)
-                if self.start_method == "fork":
-                    _FORK_STATE["context"] = context
-                else:
-                    payload["shared"] = {
-                        "scale_fields": asdict(context.scale),
-                        "seed": context.seed,
-                        "dtype": (str(context.dtype)
-                                  if context.dtype is not None else None),
-                    }
-            elif self.prewarm and (self.start_method == "fork"
-                                   or self.cache is not None):
-                contexts: Dict[Tuple, ExperimentContext] = {}
-                for spec in specs:
-                    key = _context_key(spec)
-                    if key not in contexts:
-                        contexts[key] = _build_context(spec, self.cache)
-                for key, parent_context in contexts.items():
-                    _warm_context(parent_context,
-                                  [s for s in specs if _context_key(s) == key])
-                if self.start_method == "fork":
-                    _FORK_STATE["contexts"] = contexts
-
-            collected: Dict[int, object] = {}
-            with mp_context.Pool(processes=n_workers, initializer=_init_worker,
-                                 initargs=(payload,)) as pool:
-                self._supervise(pool, specs, collected, obs)
-        finally:
-            _FORK_STATE.clear()
+        collected: Dict[int, object] = {}
+        with mp_context.Pool(processes=n_workers, initializer=_init_worker,
+                             initargs=(contexts, self.fault_plan,
+                                       compute_dtype())) as pool:
+            self._supervise(pool, specs, collected, obs)
 
         if len(collected) != len(specs):  # pragma: no cover - defensive
             missing = sorted(set(range(len(specs))) - set(collected))

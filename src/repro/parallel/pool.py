@@ -9,14 +9,14 @@ traceback.  It lives here so the two subsystems cannot drift apart.
 
 Start methods
 -------------
-``fork`` (the default where available) is what makes warm-starting cheap:
-workers inherit the parent's already-built
-:class:`~repro.experiments.context.ExperimentContext` artifacts by memory
-copy-on-write, so a prewarmed parent forks N workers that never retrain
-anything.  ``spawn`` starts from a blank interpreter; workers then rebuild
-their state from the shared :class:`~repro.utils.artifact_cache.ArtifactCache`
-(which PR-hardened locking makes safe for concurrent warm starts).  Override
-the choice with ``REPRO_PARALLEL_START_METHOD`` or per call.
+Both engines build their state once in the parent — the
+:class:`~repro.experiments.context.ExperimentContext` artifacts of a grid,
+the servable and endpoint detector of a fleet — and pass those objects to
+each worker as process arguments, so no worker retrains anything.  Under
+``fork`` (the default where available) a worker inherits them by
+copy-on-write memory; under ``spawn`` it starts from a blank interpreter
+and unpickles them, on the same code path.  Override the choice with
+``REPRO_PARALLEL_START_METHOD`` or per call.
 """
 
 from __future__ import annotations

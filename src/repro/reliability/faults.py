@@ -11,7 +11,8 @@ injection half of :mod:`repro.reliability`:
   optional ``where`` context filter (e.g. ``{"worker": 1}``) so a plan can
   target one replica of a fleet;
 * :class:`FaultPlan` — a JSON-serialisable list of specs (what the CLI's
-  ``serve --fault-plan plan.json`` loads and worker configs pickle);
+  ``serve --fault-plan plan.json`` loads; pool and fleet workers receive
+  the plan object itself);
 * :class:`FaultInjector` — the per-process runtime: instrumented sites call
   :meth:`FaultInjector.fire` and the injector counts matching invocations,
   firing each spec exactly when its hit window is reached.
@@ -178,8 +179,9 @@ class FaultSpec:
 class FaultPlan:
     """An ordered, serialisable collection of :class:`FaultSpec` entries.
 
-    Plans travel as JSON (CLI ``--fault-plan``) and as plain dicts inside
-    pickled worker configs; :meth:`injector` arms them in a process.
+    Plans travel as JSON (CLI ``--fault-plan``) and as the pickled plan
+    object itself to pool and fleet workers; :meth:`injector` arms them in a
+    process.
     """
 
     specs: Tuple[FaultSpec, ...] = ()

@@ -104,20 +104,6 @@ class RetryPolicy:
                 sleep(self.delay(attempt, token=token))
                 attempt += 1
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable representation (rides in worker configs)."""
-        return {"max_retries": self.max_retries,
-                "base_delay_s": self.base_delay_s,
-                "multiplier": self.multiplier,
-                "max_delay_s": self.max_delay_s,
-                "jitter": self.jitter,
-                "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, payload: Optional[dict]) -> "RetryPolicy":
-        """Inverse of :meth:`to_dict`; ``None`` yields the defaults."""
-        return cls(**(payload or {}))
-
 
 class CircuitBreaker:
     """Trip after consecutive failures; re-admit one trial after a cooldown.

@@ -35,6 +35,7 @@ from repro.scenarios.registry import (
     Param,
     RegistryEntry,
     build_defense,
+    build_endpoint,
     ensure_registries,
     register_attack,
     register_defense,
@@ -53,6 +54,7 @@ __all__ = [
     "register_attack",
     "register_defense",
     "build_defense",
+    "build_endpoint",
     "ensure_registries",
     "run_scenario",
 ]

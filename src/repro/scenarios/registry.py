@@ -43,6 +43,7 @@ __all__ = [
     "register_attack",
     "register_defense",
     "build_defense",
+    "build_endpoint",
     "ensure_registries",
 ]
 
@@ -311,6 +312,20 @@ def build_defense(defense_id: str, context, params: Optional[Mapping] = None,
     if key not in memo:
         memo[key] = entry.factory(entry.cls, context, resolved, None)
     return memo[key]
+
+
+def build_endpoint(defense_id: str, context, params: Optional[Mapping] = None,
+                   model=None):
+    """The detector a scoring endpoint serves behind ``defense_id``.
+
+    ``None`` for the ``none`` defense, so the service scores with the bare
+    bundle; any other id is fitted through :func:`build_defense`.  The
+    result goes straight to ``ScoringService(..., detector=...)``.
+    """
+    ensure_registries()
+    if DEFENSES.get(defense_id).entry_id == "none":
+        return None
+    return build_defense(defense_id, context, params, model=model)
 
 
 def ensure_registries() -> None:

@@ -27,7 +27,7 @@ from repro.models.base import DetectorModel
 from repro.models.substitute_model import SubstituteModel
 from repro.models.target_model import TargetModel
 from repro.nn.engine import compute_dtype
-from repro.scenarios.registry import DEFENSES, build_defense, ensure_registries
+from repro.scenarios.registry import DEFENSES, build_endpoint, ensure_registries
 from repro.scenarios.spec import ScenarioSpec
 from repro.utils.artifact_cache import CACHE_SCHEMA_VERSION, ArtifactCache
 
@@ -184,18 +184,16 @@ class ModelRegistry:
         defense, so callers can pass the result straight to
         ``ScoringService(..., detector=...)``.  Wrap-style defenses guard
         the bundle's *own* model (a substitute-bundle squeezing endpoint is
-        calibrated over the substitute network, not the target's).
+        calibrated over the substitute network, not the target's).  A
+        binary-substitute bundle never carries a defense
+        (:meth:`register_scenario` rejects one).
         """
         spec = self._scenarios.get(name)
-        if spec is None or DEFENSES.get(spec.defense).entry_id == "none":
+        if spec is None:
             return None
-        model = None
-        if spec.model == "substitute":
-            model = context.substitute_model
-        elif spec.model == "binary_substitute":
-            model = context.binary_substitute
-        return build_defense(spec.defense, context, spec.defense_params,
-                             model=model)
+        model = context.substitute_model if spec.model == "substitute" else None
+        return build_endpoint(spec.defense, context, spec.defense_params,
+                              model=model)
 
     def available(self) -> List[str]:
         """Sorted names of the registered builders."""

@@ -167,7 +167,7 @@ class TestChaosGrid:
         clean = GridExecutor(n_workers=1).run(specs, context=tiny_context)
         plan = FaultPlan(specs=(FaultSpec(site="grid.cell", action="error"),))
         chaotic = GridExecutor(
-            n_workers=1, retries=1,
+            n_workers=1,
             retry_policy=RetryPolicy(max_retries=1, base_delay_s=0.0),
             fault_plan=plan).run(specs, context=tiny_context)
         assert [r.to_json(include_timing=False) for r in chaotic.reports] == \
@@ -192,7 +192,7 @@ class TestChaosGrid:
             FaultSpec(site="grid.cell", action="error",
                       where={"cell": 0, "attempt": 0}),))
         chaotic = GridExecutor(
-            n_workers=2, retries=1,
+            n_workers=2,
             retry_policy=RetryPolicy(max_retries=1, base_delay_s=0.01),
             fault_plan=plan).run(specs, context=tiny_context)
         assert [r.to_json(include_timing=False) for r in chaotic.reports] == \
@@ -206,7 +206,7 @@ class TestChaosGrid:
             FaultSpec(site="grid.cell", action="delay", delay_ms=5000.0,
                       where={"cell": 0, "attempt": 0}),))
         chaotic = GridExecutor(
-            n_workers=2, retries=1, shard_timeout_s=1.0,
+            n_workers=2, shard_timeout_s=1.0,
             retry_policy=RetryPolicy(max_retries=1, base_delay_s=0.01),
             fault_plan=plan).run(specs, context=tiny_context)
         assert [r.to_json(include_timing=False) for r in chaotic.reports] == \
@@ -215,7 +215,5 @@ class TestChaosGrid:
         assert chaotic.reliability.cell_retries == 0  # timeout, not failure
 
     def test_invalid_reliability_knobs_rejected(self):
-        with pytest.raises(ParallelError):
-            GridExecutor(retries=-1)
         with pytest.raises(ParallelError):
             GridExecutor(shard_timeout_s=0.0)

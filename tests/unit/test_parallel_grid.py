@@ -147,8 +147,8 @@ class TestParallelExecution:
                [r.to_json(include_timing=False) for r in serial]
 
     def test_spawn_workers_rebuild_shared_context_from_cache(self, tmp_path):
-        # Under spawn nothing is inherited: workers must reconstruct the
-        # governing context from its (scale, seed, dtype) triple + cache.
+        # Under spawn nothing is inherited: workers unpickle the governing
+        # context (cache attached) and must reproduce the serial reports.
         import multiprocessing
 
         if "spawn" not in multiprocessing.get_all_start_methods():
@@ -165,6 +165,30 @@ class TestParallelExecution:
         spawned = GridExecutor(n_workers=2, start_method="spawn").run(
             specs, context=context)
         assert spawned.start_method == "spawn"
+        assert [r.to_json(include_timing=False) for r in spawned.reports] == \
+               [r.to_json(include_timing=False) for r in serial.reports]
+
+    def test_spawn_workers_compute_in_the_parents_dtype(self):
+        # A pickled context does not carry the parent's use_dtype block, so
+        # the pool initializer adopts the parent's engine dtype; without it
+        # spawn reports read float64 where the serial ones read float32.
+        import multiprocessing
+
+        if "spawn" not in multiprocessing.get_all_start_methods():
+            pytest.skip("spawn start method unavailable")
+        from repro.config import TINY_PROFILE
+        from repro.experiments.context import ExperimentContext
+        from repro.nn.engine import use_dtype
+
+        specs = [ScenarioSpec(attack="random_addition", scale="tiny", seed=321),
+                 ScenarioSpec(attack="random_addition", scale="tiny", seed=321,
+                              gamma=0.03)]
+        with use_dtype("float32"):
+            context = ExperimentContext(scale=TINY_PROFILE, seed=321)
+            serial = GridExecutor(n_workers=1).run(specs, context=context)
+            spawned = GridExecutor(n_workers=2, start_method="spawn").run(
+                specs, context=context)
+        assert serial.reports[0].dtype == "float32"
         assert [r.to_json(include_timing=False) for r in spawned.reports] == \
                [r.to_json(include_timing=False) for r in serial.reports]
 

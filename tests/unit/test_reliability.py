@@ -222,12 +222,16 @@ class TestRetryPolicy:
         assert retries_seen == [0, 1]
 
     def test_run_raises_after_exhaustion(self):
+        calls = {"n": 0}
+
         def always_fails():
+            calls["n"] += 1
             raise ValueError("permanent")
 
         policy = RetryPolicy(max_retries=1, base_delay_s=0.0)
         with pytest.raises(ValueError, match="permanent"):
             policy.run(always_fails, sleep=no_sleep)
+        assert calls["n"] == policy.max_attempts == 2
 
     def test_run_only_retries_listed_exceptions(self):
         calls = {"n": 0}
@@ -240,12 +244,6 @@ class TestRetryPolicy:
         with pytest.raises(WorkerCrash):
             policy.run(crashes, sleep=no_sleep)
         assert calls["n"] == 1  # BaseException never retried by default
-
-    def test_dict_round_trip(self):
-        policy = RetryPolicy(max_retries=4, base_delay_s=0.01, seed=7)
-        assert RetryPolicy.from_dict(policy.to_dict()) == policy
-        assert RetryPolicy.from_dict(None) == RetryPolicy()
-        assert policy.max_attempts == 5
 
 
 class TestCircuitBreaker:

@@ -36,6 +36,32 @@ class TestFleetReplay:
         assert report.n_workers == 2
         assert report.throughput.n_requests == len(malware_rows)
 
+    def test_spawn_replicas_serve_the_dispatchers_bundle(self):
+        # Replicas receive the dispatcher's built servable: a spawn replica
+        # serves the float32 bundle instead of rebuilding one under its own
+        # (float64) engine dtype.
+        import multiprocessing
+
+        if "spawn" not in multiprocessing.get_all_start_methods():
+            pytest.skip("spawn start method unavailable")
+        from repro.config import TINY_PROFILE
+        from repro.experiments.context import ExperimentContext
+        from repro.nn.engine import use_dtype
+
+        with use_dtype("float32"):
+            context = ExperimentContext(scale=TINY_PROFILE, seed=123)
+            rows = list(context.attack_malware.features[:8])
+            servable = ModelRegistry().get("target", context=context)
+            baseline = ScoringService(servable).score_many(rows)
+            fleet = WorkerFleet(n_workers=2, context=context,
+                                start_method="spawn", max_batch_size=4)
+            verdicts, report = fleet.score_stream(rows)
+        assert report.start_method == "spawn"
+        assert [v.model_version for v in verdicts] == \
+               [v.model_version for v in baseline]
+        assert [v.malware_probability for v in verdicts] == \
+               [v.malware_probability for v in baseline]
+
     def test_merge_is_submission_ordered(self, tiny_context, malware_rows):
         requests = [ScoringRequest(request_id=f"row-{index:04d}", payload=row)
                     for index, row in enumerate(malware_rows)]
@@ -138,6 +164,16 @@ class TestFleetConfig:
     def test_invalid_worker_count_rejected(self, tiny_context):
         with pytest.raises(ParallelError):
             WorkerFleet(n_workers=-2, context=tiny_context)
+
+    @pytest.mark.parametrize("setting", [{"threshold": 1.5},
+                                         {"max_batch_size": 0},
+                                         {"max_delay_ms": -1.0}])
+    def test_invalid_service_settings_rejected_at_construction(
+            self, tiny_context, setting):
+        # Rejected before any replica starts, not as a replica's startup
+        # failure once the fleet runs.
+        with pytest.raises(ParallelError):
+            WorkerFleet(n_workers=2, context=tiny_context, **setting)
 
     def test_defended_fleet_matches_defended_service(self, tiny_context,
                                                      malware_rows):
