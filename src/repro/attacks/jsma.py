@@ -14,8 +14,22 @@ features:
 4. repeat until the crafting model classifies the sample as clean or the
    ``gamma`` feature budget is exhausted.
 
-The implementation is batched: each iteration evaluates the Jacobian only on
-the samples that are still detected and still have budget left.
+The implementation is batched over a compacted working set: each step runs
+one forward and one input-only backward over the samples still being
+perturbed (still detected, with budget and a feasible feature left).  Their
+rows and blocked-cell masks are kept compact and gathered again only on a
+step where samples leave.
+
+A binary network is asked for its target-class gradient row alone.  With
+the saliency map and one feature per step, each sample's pick is the argmax
+of that raw row over its unblocked cells.  The saliency score of a positive
+cell is ``t * t``, and on positive floats squaring is strictly increasing
+while the square is normal and finite; both argmaxes break ties toward the
+lower index, so the picks are the saliency map's exactly.  A row whose best
+value lies outside that range (below ``sqrt(finfo(dtype).tiny)``, or with an
+infinite square) or that holds a NaN is rescored the reference way.
+Adversarials, iteration counts and trajectories are byte-identical to the
+full-Jacobian step, which ``tests/jsma_reference.py`` keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -34,6 +48,15 @@ from repro.obs.instrument import current as current_instrumentation
 from repro.scenarios.registry import Param, register_attack
 from repro.utils.topk import top_k_indices
 from repro.utils.validation import check_matrix
+
+
+def _count_run(obs, n_samples: int, steps: int, flipped: int,
+               evaded: int) -> None:
+    """Account one crafting run in the ``jsma.*`` counters."""
+    obs.count("jsma.samples", n_samples)
+    obs.count("jsma.steps", steps)
+    obs.count("jsma.features_flipped", flipped)
+    obs.count("jsma.evasions", evaded)
 
 
 @register_attack("jsma", params=(
@@ -140,6 +163,8 @@ class JsmaAttack(Attack):
         gradient is positive, and its score ``t * |-t|`` is ``t * t``.  For
         a finite Jacobian the result is bitwise what :meth:`_feature_scores`
         returns, without building the other row or the salient conjunction.
+        It scores the configurations :meth:`_salient_picks` does not cover,
+        and the rows it sends back.
         """
         if not self.use_saliency_map:
             return target_grad
@@ -149,6 +174,65 @@ class JsmaAttack(Attack):
         if np.any(no_salient):
             scores[no_salient] = target_grad[no_salient]
         return scores
+
+    def _salient_picks(self, target_grad: np.ndarray,
+                       blocked: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each row's best unblocked feature: ``(cols, feasible)``.
+
+        The one-feature-per-step pick of the binary saliency map (the column
+        :meth:`_binary_scores` ranks first), read off the raw target row.
+        ``target_grad`` is this step's own ``(n, d)`` row and is
+        overwritten: blocked cells become ``-inf``.
+
+        The reference scores are ``where(t > 0, t * t, -inf)`` (the raw row
+        ``t`` itself when no cell of the row is positive), with blocked
+        cells at ``-inf``.  On positive floats ``x -> fl(x * x)`` is
+        strictly increasing while the square is a normal, finite number,
+        and both argmaxes break ties toward the lower index.  So when a
+        row's best unblocked value ``b`` is positive, ``b >=
+        sqrt(finfo.tiny)`` and ``b * b`` is finite, ``argmax(t)`` is the
+        reference pick.  The bound is a power of two in both engine dtypes
+        (2^-511, 2^-63), so the test is exact; below it adjacent floats can
+        square to the same number, and above the overflow threshold every
+        square is ``inf``.  Rows outside the bound, and rows holding a NaN,
+        are rescored with :meth:`_binary_scores` from the values this step
+        already has.
+        """
+        row_max = target_grad.max(axis=1)
+        # max() propagates NaN; such a row's "is any cell positive" is not
+        # known from row_max, so it is rescored from its raw values, which
+        # the masking below would overwrite.
+        nan_rows = np.flatnonzero(np.isnan(row_max))
+        if nan_rows.size:
+            nan_cols, nan_feasible = self._rescore(target_grad[nan_rows],
+                                                   blocked[nan_rows])
+        np.copyto(target_grad, -np.inf, where=blocked)
+        cols = np.argmax(target_grad, axis=1)
+        best = target_grad[np.arange(cols.size), cols]
+        # A row with a positive cell anywhere is scored by the saliency map
+        # and needs a positive unblocked cell; the others fall back to the
+        # raw gradient, where any finite unblocked value will do.
+        feasible = np.where(row_max > 0, best > 0, np.isfinite(best))
+        tiny_root = np.sqrt(np.finfo(target_grad.dtype).tiny)
+        with np.errstate(over="ignore"):
+            exact = (best >= tiny_root) & np.isfinite(best * best)
+        redo = np.flatnonzero((best > 0) & ~exact)
+        if redo.size:
+            # Positive and unblocked, so these rows score by the saliency
+            # map, which the masked values reproduce.
+            cols[redo], feasible[redo] = self._rescore(target_grad[redo],
+                                                       blocked[redo])
+        if nan_rows.size:
+            cols[nan_rows], feasible[nan_rows] = nan_cols, nan_feasible
+        return cols, feasible
+
+    def _rescore(self, target_grad: np.ndarray,
+                 blocked: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The reference pick for a few rows: ``(cols, feasible)``."""
+        scores = self._binary_scores(target_grad)
+        scores[blocked] = -np.inf
+        cols = np.argmax(scores, axis=1)
+        return cols, np.isfinite(scores[np.arange(cols.size), cols])
 
     # ------------------------------------------------------------------ #
     # Attack loop
@@ -165,9 +249,11 @@ class JsmaAttack(Attack):
 
         When an ambient :class:`~repro.obs.Instrumentation` is active
         (see :func:`repro.obs.instrumented`), the whole crafting loop runs
-        inside an ``attack.jsma`` span and the ``jsma.steps`` /
-        ``jsma.features_flipped`` / ``jsma.evasions`` counters account for
-        its work; the perturbation math is identical either way.
+        inside an ``attack.jsma`` span and the ``jsma.samples`` /
+        ``jsma.steps`` / ``jsma.features_flipped`` / ``jsma.evasions``
+        counters account for its work (a run with ``theta == 0`` or no
+        budget counts its samples and nothing else); the perturbation math
+        is identical either way.
         """
         obs = current_instrumentation()
         if obs is None:
@@ -180,6 +266,21 @@ class JsmaAttack(Attack):
     def _run(self, features: np.ndarray,
              recorder: Optional[TrajectoryRecorder],
              obs) -> AttackResult:
+        """The crafting loop over a compacted working set.
+
+        ``idx`` lists the samples still being perturbed; ``work`` and
+        ``blocked`` hold their current rows and blocked-cell masks in that
+        order, so each step feeds ``work`` to the network without a gather.
+        Every pick is written to both ``work`` and ``adversarial``, and the
+        three arrays are gathered again only on a step where samples leave:
+        they evaded (early stop) or have no feasible feature left.
+
+        A binary network yields only its target-class row per step
+        (``class_gradients(..., class_index=target_class)``).  With the
+        saliency map and one feature per step, :meth:`_salient_picks` picks
+        from that raw row; the other configurations score with
+        :meth:`_binary_scores` / :meth:`_feature_scores` as before.
+        """
         original = check_matrix(features, name="features",
                                 n_features=self.network.input_dim)
         adversarial = original.copy()
@@ -196,6 +297,8 @@ class JsmaAttack(Attack):
                            features_per_step=self.features_per_step)
 
         if budget == 0 or constraints.theta == 0.0:
+            if obs is not None:
+                _count_run(obs, n_samples, steps=0, flipped=0, evaded=0)
             return self._package(original, adversarial, iterations)
 
         # Cells no step may pick: outside the mask, saturated at the box
@@ -204,25 +307,26 @@ class JsmaAttack(Attack):
         # and gains exactly the cells each step perturbs.
         blocked = ((~modifiable)[None, :]
                    | (original >= constraints.clip_max - 1e-12))
+        idx = np.arange(n_samples)
+        work = original.copy()
         binary = self.network.n_classes == 2
-        active = np.ones(n_samples, dtype=bool)
+        class_index = self.target_class if binary else None
         per_step = self.features_per_step
+        raw_pick = binary and self.use_saliency_map and per_step == 1
         n_steps = budget if per_step == 1 else -(-budget // per_step)
         steps_run = 0
         ever_evaded = (np.zeros(n_samples, dtype=bool)
                        if obs is not None else None)
 
         for step in range(n_steps):
-            if not np.any(active):
+            if idx.size == 0:
                 break
-            idx = np.flatnonzero(active)
-            # One forward + (for binary networks) one fused backward pass per
-            # step; the forward probabilities double as the early-stop
-            # prediction for the current iterate, so no second predict pass
-            # is needed.
-            jacobian, probs = self.network.class_gradients(adversarial[idx],
-                                                           return_probs=True)
-            grads = jacobian[:, self.target_class, :] if binary else jacobian
+            # One forward + one input-only backward per step (one per class
+            # for multi-class networks); the forward probabilities double as
+            # the early-stop prediction for the current iterate, so no second
+            # predict pass is needed.
+            grads, probs = self.network.class_gradients(
+                work, return_probs=True, class_index=class_index)
             steps_run = step + 1
             if self.early_stop or recorder is not None or obs is not None:
                 evaded = np.argmax(probs, axis=1) == self.target_class
@@ -230,62 +334,63 @@ class JsmaAttack(Attack):
                     recorder.record_evasions(idx[evaded])
                 if ever_evaded is not None:
                     ever_evaded[idx[evaded]] = True
-            if self.early_stop:
-                if np.any(evaded):
-                    active[idx[evaded]] = False
-                    keep = ~evaded
-                    if not np.any(keep):
-                        continue
-                    idx = idx[keep]
-                    grads = grads[keep]
-            scores = (self._binary_scores(grads) if binary
-                      else self._feature_scores(grads))
-            # In place: scores is this step's own array (or a view of this
-            # step's fresh Jacobian when the raw gradient ranks features).
-            scores[blocked[idx]] = -np.inf
 
-            if per_step == 1:
-                best = np.argmax(scores, axis=1)
-                best_scores = scores[np.arange(idx.size), best]
-                feasible = np.isfinite(best_scores)
-                rows = idx[feasible]
-                cols = best[feasible]
-                progressed = feasible
+            if raw_pick:
+                cols, progressed = self._salient_picks(grads, blocked)
             else:
-                # Top-k selection capped by each sample's remaining budget
-                # (argpartition-based: O(d) per row instead of a full sort).
-                remaining = budget - iterations[idx]
-                k_row = np.minimum(per_step, remaining)
-                k_max = int(max(k_row.max(), 1))
-                order = top_k_indices(scores, k_max)
-                top_scores = np.take_along_axis(scores, order, axis=1)
-                valid = np.isfinite(top_scores) & (np.arange(k_max)[None, :]
-                                                   < k_row[:, None])
-                flat_row, flat_col = np.nonzero(valid)
-                rows = idx[flat_row]
-                cols = order[flat_row, flat_col]
-                progressed = valid.any(axis=1)
-            if not np.any(progressed):
+                scores = (self._binary_scores(grads) if binary
+                          else self._feature_scores(grads))
+                # In place: scores is this step's own array (or this step's
+                # fresh gradient row when the raw gradient ranks features).
+                scores[blocked] = -np.inf
+                if per_step == 1:
+                    cols = np.argmax(scores, axis=1)
+                    progressed = np.isfinite(scores[np.arange(idx.size), cols])
+                else:
+                    # Top-k selection capped by each sample's remaining
+                    # budget (argpartition-based: O(d) per row, no full
+                    # sort); an evaded row has none.
+                    k_row = np.minimum(per_step, budget - iterations[idx])
+                    if self.early_stop:
+                        k_row[evaded] = 0
+                    k_max = int(max(k_row.max(), 1))
+                    order = top_k_indices(scores, k_max)
+                    top_scores = np.take_along_axis(scores, order, axis=1)
+                    valid = np.isfinite(top_scores) & (np.arange(k_max)[None, :]
+                                                       < k_row[:, None])
+                    at, flat_col = np.nonzero(valid)
+                    cols = order[at, flat_col]
+                    progressed = valid.any(axis=1)
+            if self.early_stop:
+                # Evaded rows were scored with the rest (a row's pick reads
+                # its own row only); they make no progress and leave with
+                # the rows that have no feasible feature, in one gather.
+                progressed &= ~evaded
+            if per_step == 1:
+                at = np.flatnonzero(progressed)
+                cols = cols[at]
+            if at.size == 0:
                 break
 
-            old_values = adversarial[rows, cols] if recorder is not None else None
-            adversarial[rows, cols] = np.minimum(
-                adversarial[rows, cols] + constraints.theta, constraints.clip_max)
-            blocked[rows, cols] = True
+            rows = idx[at]
+            old_values = work[at, cols]
+            new_values = np.minimum(old_values + constraints.theta,
+                                    constraints.clip_max)
+            work[at, cols] = new_values
+            adversarial[rows, cols] = new_values
+            blocked[at, cols] = True
             np.add.at(iterations, rows, 1)
             if recorder is not None:
-                recorder.record_step(step, rows, cols, old_values,
-                                     adversarial[rows, cols])
+                recorder.record_step(step, rows, cols, old_values, new_values)
 
-            # Samples with no feasible feature left stop here; evaded samples
-            # are caught by the probability check at the top of the next step.
-            active[idx[~progressed]] = False
+            if not np.all(progressed):
+                idx, work, blocked = (idx[progressed], work[progressed],
+                                      blocked[progressed])
 
         if obs is not None:
-            obs.count("jsma.samples", n_samples)
-            obs.count("jsma.steps", steps_run)
-            obs.count("jsma.features_flipped", int(iterations.sum()))
-            obs.count("jsma.evasions", int(ever_evaded.sum()))
+            _count_run(obs, n_samples, steps=steps_run,
+                       flipped=int(iterations.sum()),
+                       evaded=int(ever_evaded.sum()))
 
         # Safety: the loop construction already satisfies the constraints,
         # but project anyway so the invariant holds even under future edits.

@@ -30,12 +30,15 @@ input-gradient and its weight-gradient scratch into preallocated per-layer
 buffers (``np.matmul(..., out=...)``) instead of allocating fresh arrays on
 every call, and the :class:`~repro.nn.training.Trainer` gathers mini-batches
 into a reusable batch buffer.  The contract: an array returned by
-``Dense.forward`` / ``Dense.backward`` is only valid until the *next*
-forward/backward pass through the same layer.  Every public API that hands
-arrays to callers (``predict``, ``predict_proba``, ``class_gradients``,
-``loss_input_gradient``) copies out of the buffers, so the aliasing is
-invisible unless you call ``Layer.forward`` directly and hold the result
-across passes — set ``get_engine().reuse_buffers = False`` for that.
+``Dense.forward`` / ``Dense.backward`` / ``Dense.backward_input`` is only
+valid until the *next* forward/backward pass through the same layer.
+Public methods never hand back a layer buffer.  ``predict``,
+``predict_proba`` and ``loss_input_gradient`` copy out of the buffers;
+``class_gradients`` allocates its result and has the first layer write each
+class row straight into it (``backward_input(..., out=row)``), so a row is
+neither a buffer nor a copy of one.  The aliasing is therefore invisible
+unless you call a layer directly and hold the result across passes — set
+``get_engine().reuse_buffers = False`` for that.
 """
 
 from __future__ import annotations

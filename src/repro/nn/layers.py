@@ -61,7 +61,8 @@ class Layer:
         """
         raise NotImplementedError
 
-    def backward_input(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward_input(self, grad_output: np.ndarray,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
         """Backpropagate ``grad_output`` to the inputs only.
 
         The input-gradient path (``class_gradients``, ``loss_input_gradient``):
@@ -70,12 +71,21 @@ class Layer:
         a layer with parameters must override this method, so that its
         :meth:`backward` is never run just to have its parameter gradients
         discarded.
+
+        ``out``, when given, is a caller-owned array of the input gradient's
+        shape and dtype: the gradient is written into it and ``out`` is
+        returned, so the result never aliases a reused layer buffer.  Without
+        it the result may alias one (:mod:`repro.nn.engine`).
         """
         if self.parameters():
             raise NotImplementedError(
                 f"{type(self).__name__} has parameters but no input-only "
                 f"backward_input()")
-        return self.backward(grad_output)
+        grad = self.backward(grad_output)
+        if out is None:
+            return grad
+        np.copyto(out, grad)
+        return out
 
     def parameters(self) -> List[Parameter]:
         """Return this layer's trainable parameters (possibly empty)."""
@@ -161,21 +171,28 @@ class Dense(Layer):
         self.bias.grad += grad_output.sum(axis=0)
         return self.backward_input(grad_output)
 
-    def backward_input(self, grad_output: np.ndarray) -> np.ndarray:
-        """``grad_output @ W.T`` alone: no weight or bias gradient."""
+    def backward_input(self, grad_output: np.ndarray,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``grad_output @ W.T`` alone: no weight or bias gradient.
+
+        With ``out`` the product is written straight into the caller's array
+        (one ``np.matmul(..., out=out)``, no copy; see
+        :meth:`Layer.backward_input`).
+        """
         if self._inputs is None:
             raise RuntimeError("backward called before forward")
         weight = self.weight.value
         grad_output = np.asarray(grad_output, dtype=weight.dtype)
-        if get_engine().reuse_buffers:
+        if out is None:
+            if not get_engine().reuse_buffers:
+                return grad_output @ weight.T
             out = ensure_buffer(self._bwd_out, (grad_output.shape[0], self.in_features),
                                 weight.dtype)
             if out is grad_output:
                 out = np.empty_like(out)
             self._bwd_out = out
-            np.matmul(grad_output, weight.T, out=out)
-            return out
-        return grad_output @ weight.T
+        np.matmul(grad_output, weight.T, out=out)
+        return out
 
     def parameters(self) -> List[Parameter]:
         return [self.weight, self.bias]

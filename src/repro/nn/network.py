@@ -194,17 +194,20 @@ class NeuralNetwork:
             grad = layer.backward(grad)
         return grad
 
-    def backward_input(self, grad_logits: np.ndarray) -> np.ndarray:
+    def backward_input(self, grad_logits: np.ndarray,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
         """Backpropagate to the input only, through every layer.
 
         Computes no parameter gradient and leaves every ``Parameter.grad``
         as it was.  The result may alias a reused layer buffer
-        (:mod:`repro.nn.engine`).
+        (:mod:`repro.nn.engine`) unless ``out`` is given: the first layer
+        then writes the input gradient straight into that caller-owned
+        array (:meth:`Layer.backward_input`), which is returned.
         """
         grad = np.asarray(grad_logits)
-        for layer in reversed(self.layers):
+        for layer in self.layers[:0:-1]:
             grad = layer.backward_input(grad)
-        return grad
+        return self.layers[0].backward_input(grad, out=out)
 
     def train_step(self, inputs: np.ndarray, targets: np.ndarray,
                    loss: SoftmaxCrossEntropy, optimizer) -> float:
@@ -218,7 +221,8 @@ class NeuralNetwork:
     def class_gradients(self, inputs: np.ndarray,
                         temperature: Optional[float] = None,
                         fused: Optional[bool] = None,
-                        return_probs: bool = False):
+                        return_probs: bool = False,
+                        class_index: Optional[int] = None):
         """Jacobian of the softmax output w.r.t. the input (Equation 1).
 
         Returns an array of shape ``(n_samples, n_classes, n_features)``
@@ -237,7 +241,17 @@ class NeuralNetwork:
         parameter gradient is computed, and ``Parameter.grad`` is untouched.
         The result is a transposed view of a contiguous
         ``(n_classes, n_samples, n_features)`` block, so each class row
-        ``jacobian[:, i, :]`` is one contiguous array.
+        ``jacobian[:, i, :]`` is one contiguous array.  Each row's backward
+        writes straight into its slice of the block (``out=``), so nothing
+        is copied and nothing aliases a layer buffer.
+
+        ``class_index=k`` returns only row ``k``, as a fresh contiguous
+        ``(n_samples, n_features)`` array bitwise equal to
+        ``class_gradients(inputs)[:, k, :]`` under the same ``fused``
+        setting.  For a fused binary network that is one backward pass
+        (plus an in-place negation for ``k = 1``); otherwise it is the one
+        backward pass of class ``k``.  The binary JSMA step needs nothing
+        else.
 
         With ``return_probs=True`` the softmax probabilities from the forward
         pass are returned alongside the Jacobian, letting attack loops reuse
@@ -245,27 +259,36 @@ class NeuralNetwork:
         pass.
         """
         temp = self.temperature if temperature is None else temperature
+        if class_index is not None and not 0 <= class_index < self.n_classes:
+            raise ShapeError(
+                f"class_index must be in [0, {self.n_classes}), got {class_index}")
         inputs = np.asarray(inputs)
         if inputs.ndim == 1:
             inputs = inputs.reshape(1, -1)
         logits = self.forward(inputs, training=False)
         probs = softmax(logits, temperature=temp)
-        block = np.empty((self.n_classes,) + inputs.shape, dtype=probs.dtype)
         use_fused = self.n_classes == 2 if fused is None else (fused and self.n_classes == 2)
-        if use_fused:
-            block[0] = self.backward_input(
-                softmax_input_gradient(probs, 0, temperature=temp))
-            np.negative(block[0], out=block[1])
+        # One forward serves every class: backward_input() leaves the layer
+        # caches as they are.
+        if class_index is not None:
+            result = np.empty(inputs.shape, dtype=probs.dtype)
+            self.backward_input(
+                softmax_input_gradient(probs, 0 if use_fused else class_index,
+                                       temperature=temp), out=result)
+            if use_fused and class_index == 1:
+                np.negative(result, out=result)
         else:
-            # One forward serves every class: backward_input() leaves the
-            # layer caches as they are.
-            for class_index in range(self.n_classes):
-                block[class_index] = self.backward_input(
-                    softmax_input_gradient(probs, class_index, temperature=temp))
-        jacobian = block.transpose(1, 0, 2)
+            block = np.empty((self.n_classes,) + inputs.shape, dtype=probs.dtype)
+            for index in range(1 if use_fused else self.n_classes):
+                self.backward_input(
+                    softmax_input_gradient(probs, index, temperature=temp),
+                    out=block[index])
+            if use_fused:
+                np.negative(block[0], out=block[1])
+            result = block.transpose(1, 0, 2)
         if return_probs:
-            return jacobian, probs
-        return jacobian
+            return result, probs
+        return result
 
     def loss_input_gradient(self, inputs: np.ndarray, labels: np.ndarray,
                             temperature: Optional[float] = None) -> np.ndarray:

@@ -60,8 +60,9 @@ WorkerFleet        ``fleet.dispatches``, ``fleet.redispatches``,
 GridExecutor       ``span.grid.cell``, ``grid.cells``,
                    ``grid.cell_retries``, ``grid.cell_timeouts``,
                    ``fault.grid.cell`` (serial path)
-JsmaAttack         ``span.attack.jsma``, ``jsma.steps``,
-                   ``jsma.features_flipped``, ``jsma.evasions``
+JsmaAttack         ``span.attack.jsma``, ``jsma.samples``,
+                   ``jsma.steps``, ``jsma.features_flipped``,
+                   ``jsma.evasions`` (every run, θ = 0 included)
 ArtifactCache      ``cache.hits``, ``cache.misses``,
                    ``cache.build_seconds`` (histogram),
                    ``fault.cache.lock``

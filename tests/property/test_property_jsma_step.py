@@ -1,93 +1,31 @@
-"""Differential test: the JSMA loop against a reference step kept here.
+"""Differential test: the JSMA loop against the reference step.
 
-``JsmaAttack._run`` scores a binary network from the target row of its
-Jacobian alone and keeps one growing ``blocked`` mask.  The reference below
-is the loop that path replaced: it scores the full Jacobian with
-``_feature_scores`` and rebuilds the ``saturated | touched`` mask every
-step.  Over small random MLPs and every loop option, adversarials,
-iteration counts and recorded trajectories must be byte-identical.
+``JsmaAttack._run`` asks a binary network for its target-class gradient row
+alone, keeps the active rows, their inputs and their blocked cells as a
+compacted working set, and (saliency map, one feature per step) picks each
+row's feature by argmax on the raw row, guarded by ``sqrt(finfo.tiny)`` and
+a finite square.  ``jsma_reference.reference_run`` is the loop all of that
+replaced: full Jacobian, ``_feature_scores``, and a ``saturated | touched``
+mask rebuilt every step.  Over small random MLPs in both engine dtypes and
+every loop option, adversarials, iteration counts and recorded trajectories
+must be byte-identical.
+
+The last layer's weights are scaled by up to 500.  That saturates the
+softmax, so the gradients fall into the range where squares underflow to
+subnormals (below 2^-511 in float64, 2^-63 in float32) and the guard has to
+send rows to the reference scoring.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsma_reference import TRAJECTORY_FIELDS, assert_same_bytes, reference_run
 
 from repro.attacks.constraints import PerturbationConstraints
 from repro.attacks.jsma import JsmaAttack
 from repro.attacks.trajectory import TrajectoryRecorder
 from repro.nn.engine import use_dtype
 from repro.nn.network import NeuralNetwork
-from repro.utils.topk import top_k_indices
-
-
-def reference_run(attack, original, recorder=None):
-    """The JSMA loop with a full-Jacobian step: (adversarial, iterations)."""
-    network, constraints = attack.network, attack.constraints
-    adversarial = original.copy()
-    n_samples, n_features = original.shape
-    budget = constraints.max_features(n_features)
-    modifiable = constraints.modifiable_mask(n_features)
-    iterations = np.zeros(n_samples, dtype=np.int64)
-    per_step = attack.features_per_step
-    if recorder is not None:
-        recorder.begin(theta=constraints.theta, budget=budget,
-                       n_samples=n_samples, n_features=n_features,
-                       early_stop=attack.early_stop, features_per_step=per_step)
-    if budget == 0 or constraints.theta == 0.0:
-        return adversarial, iterations
-    touched = np.zeros((n_samples, n_features), dtype=bool)
-    active = np.ones(n_samples, dtype=bool)
-    for step in range(-(-budget // per_step)):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        jacobian, probs = network.class_gradients(adversarial[idx], return_probs=True)
-        evaded = np.argmax(probs, axis=1) == attack.target_class
-        if recorder is not None and evaded.any():
-            recorder.record_evasions(idx[evaded])
-        if attack.early_stop and evaded.any():
-            active[idx[evaded]] = False
-            if evaded.all():
-                continue
-            idx, jacobian = idx[~evaded], jacobian[~evaded]
-        scores = attack._feature_scores(jacobian)
-        saturated = adversarial[idx] >= constraints.clip_max - 1e-12
-        infeasible = (~modifiable)[None, :] | saturated | touched[idx]
-        scores = np.where(infeasible, -np.inf, scores)
-        if per_step == 1:
-            best = np.argmax(scores, axis=1)
-            progressed = np.isfinite(scores[np.arange(idx.size), best])
-            rows, cols = idx[progressed], best[progressed]
-        else:
-            k_row = np.minimum(per_step, budget - touched[idx].sum(axis=1))
-            k_max = int(max(k_row.max(), 1))
-            order = top_k_indices(scores, k_max)
-            valid = (np.isfinite(np.take_along_axis(scores, order, axis=1))
-                     & (np.arange(k_max)[None, :] < k_row[:, None]))
-            flat_row, flat_col = np.nonzero(valid)
-            rows, cols = idx[flat_row], order[flat_row, flat_col]
-            progressed = valid.any(axis=1)
-        if not progressed.any():
-            break
-        old_values = adversarial[rows, cols]
-        adversarial[rows, cols] = np.minimum(old_values + constraints.theta,
-                                             constraints.clip_max)
-        touched[rows, cols] = True
-        np.add.at(iterations, rows, 1)
-        if recorder is not None:
-            recorder.record_step(step, rows, cols, old_values, adversarial[rows, cols])
-        active[idx[~progressed]] = False
-    return constraints.project(adversarial, original), iterations
-
-
-TRAJECTORY_FIELDS = ("steps", "rows", "cols", "old_values", "new_values",
-                     "first_evaded_at")
-
-
-def assert_same_bytes(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -96,11 +34,13 @@ def jsma_cases(draw):
     hidden = draw(st.lists(st.integers(2, 16), min_size=1, max_size=2))
     n_classes = draw(st.sampled_from((2, 2, 3)))
     seed = draw(st.integers(0, 2**31 - 1))
-    with use_dtype("float64"):
+    with use_dtype(draw(st.sampled_from(("float64", "float32")))):
         network = NeuralNetwork.mlp(
             [n_features] + hidden + [n_classes],
             activation=draw(st.sampled_from(("relu", "leaky_relu", "tanh", "sigmoid"))),
             temperature=draw(st.sampled_from((1.0, 1.0, 50.0))), random_state=seed)
+    network.layers[-1].weight.value *= draw(st.one_of(
+        st.just(1.0), st.floats(1.0, 500.0)))
     rng = np.random.default_rng(seed)
     if draw(st.booleans()):
         # Inputs no unit reads: exact-zero gradient columns.

@@ -3,17 +3,19 @@
 The binary fast path in :meth:`NeuralNetwork.class_gradients` relies on the
 softmax identity ``dF_0/dx == -dF_1/dx``; these tests pin (a) numerical
 agreement with the general per-class loop, (b) the one-backward-pass
-regression guarantee, (c) float32/float64 engine agreement, and (d) the
+regression guarantee, (c) float32/float64 engine agreement, (d) the
 input-only backward: bitwise the training backward's input gradient, with
-parameter gradients left alone.
+parameter gradients left alone, and (e) ``class_index``: one row of the
+Jacobian, bitwise, in a fresh array.
 """
 
 import numpy as np
 import pytest
 
+from repro.exceptions import ShapeError
 from repro.nn.activations import softmax, softmax_input_gradient
 from repro.nn.engine import TensorEngine, set_engine, use_dtype
-from repro.nn.layers import Layer, Parameter
+from repro.nn.layers import Dense, Layer, Parameter
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.network import NeuralNetwork
 
@@ -41,6 +43,15 @@ class BackwardCounter(Layer):
 def random_batch(n_features: int, n_samples: int = 5, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.random((n_samples, n_features))
+
+
+@pytest.fixture(params=[True, False], ids=["reuse", "no-reuse"])
+def engine(request):
+    """A float64 engine with and without layer buffer reuse."""
+    previous = set_engine(TensorEngine(dtype="float64",
+                                       reuse_buffers=request.param))
+    yield
+    set_engine(previous)
 
 
 class TestFusedMatchesLoop:
@@ -116,6 +127,13 @@ class TestBackwardPassCount:
         network.class_gradients(random_batch(6, seed=10))
         assert counter.backward_calls == 3
 
+    @pytest.mark.parametrize("n_classes,class_index", [(2, 0), (2, 1), (3, 2)])
+    def test_one_row_uses_one_backward_pass(self, n_classes, class_index):
+        network, counter = self._counted_network(n_classes=n_classes)
+        network.class_gradients(random_batch(6, seed=9), class_index=class_index)
+        assert counter.forward_calls == 1
+        assert counter.backward_calls == 1
+
 
 class ScaleLayer(Layer):
     """A parameterised layer with a training backward only."""
@@ -156,13 +174,6 @@ def full_backward_jacobian(network, x, fused):
 
 class TestInputOnlyBackward:
     """class_gradients / loss_input_gradient never touch parameter grads."""
-
-    @pytest.fixture(params=[True, False], ids=["reuse", "no-reuse"])
-    def engine(self, request):
-        previous = set_engine(TensorEngine(dtype="float64",
-                                           reuse_buffers=request.param))
-        yield
-        set_engine(previous)
 
     @pytest.mark.parametrize("sizes,fused", [
         ([9, 7, 2], True), ([9, 7, 2], False),
@@ -213,6 +224,86 @@ class TestInputOnlyBackward:
         # The training backward still runs through it.
         network.backward(np.ones((5, 2)))
         assert np.any(scale.scale.grad != 0.0)
+
+
+def layer_buffers(network):
+    """Every reusable output buffer the network's layers hold."""
+    return [buffer for layer in network.layers
+            for buffer in (getattr(layer, "_fwd_out", None),
+                           getattr(layer, "_bwd_out", None))
+            if buffer is not None]
+
+
+class TestClassIndex:
+    """class_gradients(x, class_index=k) is row k of the Jacobian, alone."""
+
+    @pytest.mark.parametrize("sizes,fused", [
+        ([9, 7, 2], None), ([9, 7, 2], False),
+        ([12, 10, 6, 2], None), ([8, 6, 3], None),
+    ])
+    def test_row_equals_the_jacobian_row_bitwise(self, engine, sizes, fused):
+        network = NeuralNetwork.mlp(sizes, activation="tanh", random_state=31)
+        x = random_batch(sizes[0], n_samples=7, seed=31)
+        jacobian, probs = network.class_gradients(x, fused=fused,
+                                                  return_probs=True)
+        for class_index in range(sizes[-1]):
+            row, row_probs = network.class_gradients(
+                x, fused=fused, return_probs=True, class_index=class_index)
+            assert row.shape == (7, sizes[0]) and row.flags.c_contiguous
+            assert row.dtype == jacobian.dtype
+            assert row.tobytes() == jacobian[:, class_index, :].tobytes()
+            assert row_probs.tobytes() == probs.tobytes()
+
+    def test_consecutive_rows_do_not_alias(self, engine):
+        network = NeuralNetwork.mlp([9, 7, 2], random_state=32)
+        first_x, second_x = random_batch(9, seed=32), random_batch(9, seed=33)
+        first = network.class_gradients(first_x, class_index=0)
+        kept = first.copy()
+        second = network.class_gradients(second_x, class_index=1)
+        jacobian = network.class_gradients(second_x)
+        assert first.tobytes() == kept.tobytes()
+        assert second.tobytes() == jacobian[:, 1, :].tobytes()
+        for buffer in layer_buffers(network):
+            for result in (first, second, jacobian):
+                assert not np.shares_memory(buffer, result)
+
+    def test_parameter_grads_are_left_untouched(self, engine):
+        network = NeuralNetwork.mlp([9, 7, 2], random_state=34)
+        rng = np.random.default_rng(34)
+        for param in network.parameters():
+            param.grad[...] = rng.standard_normal(param.grad.shape)
+        before = [param.grad.copy() for param in network.parameters()]
+        x = random_batch(9, seed=34)
+        for class_index in (0, 1):
+            network.class_gradients(x, class_index=class_index)
+            network.class_gradients(x, fused=False, class_index=class_index)
+        for param, grad in zip(network.parameters(), before):
+            assert param.grad.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("class_index", [-1, 2])
+    def test_out_of_range_class_index_is_rejected(self, class_index):
+        network = NeuralNetwork.mlp([5, 4, 2], random_state=35)
+        with pytest.raises(ShapeError, match="class_index"):
+            network.class_gradients(random_batch(5), class_index=class_index)
+
+    def test_backward_input_writes_into_out(self, engine):
+        network = NeuralNetwork.mlp([6, 5, 2], random_state=36)
+        x = random_batch(6, seed=36)
+        grad = softmax_input_gradient(network.predict_proba(x), 0)
+        network.forward(x)
+        expected = np.array(network.backward_input(grad))
+        # A Dense first layer runs its matmul straight into ``out``.
+        assert isinstance(network.layers[0], Dense)
+        out = np.empty_like(expected)
+        assert network.backward_input(grad, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        # A parameter-free first layer copies its backward into ``out``.
+        counter_net = NeuralNetwork([BackwardCounter()] + network.layers,
+                                    n_classes=2)
+        counter_net.forward(x)
+        out = np.empty_like(expected)
+        assert counter_net.backward_input(grad, out=out) is out
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestEngineDtypeAgreement:

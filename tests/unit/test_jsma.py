@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from jsma_reference import TRAJECTORY_FIELDS, assert_same_bytes, reference_run
 
 from repro.attacks.constraints import PerturbationConstraints
 from repro.attacks.jsma import JsmaAttack
+from repro.attacks.trajectory import TrajectoryRecorder
 from repro.config import CLASS_CLEAN
 from repro.exceptions import AttackError
+from repro.nn.engine import use_dtype
+from repro.nn.network import NeuralNetwork
 
 
 @pytest.fixture(scope="module")
@@ -287,3 +291,97 @@ class TestPrimedOriginalPredictions:
         with pytest.raises(AttackError):
             attack.prime_original_predictions(tiny_malware.features,
                                               np.zeros(3, dtype=np.int64))
+
+
+#: Cells at or above the box maximum are blocked, but the network still
+#: reads them: on the networks below they push the malware logit so far
+#: ahead that every gradient lies below ``sqrt(finfo.tiny)``.
+SATURATING_ROW = np.array([[0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1]], dtype=np.float64)
+
+
+def scaled_mlp(dtype: str, scale: float) -> NeuralNetwork:
+    """``mlp([12, 8, 2], random_state=3)`` with its logits scaled by ``scale``."""
+    with use_dtype(dtype):
+        network = NeuralNetwork.mlp([12, 8, 2], random_state=3)
+    network.layers[-1].weight.value *= scale
+    return network
+
+
+def assert_matches_reference(attack, features):
+    """Run ``attack`` and the reference step; both must agree byte for byte."""
+    recorder, reference_recorder = TrajectoryRecorder(), TrajectoryRecorder()
+    result = attack.run(features, recorder=recorder)
+    adversarial, iterations = reference_run(attack, features, reference_recorder)
+    assert_same_bytes(result.adversarial, adversarial)
+    assert_same_bytes(result.iterations, iterations)
+    for name in TRAJECTORY_FIELDS:
+        assert_same_bytes(getattr(recorder.trajectory, name),
+                          getattr(reference_recorder.trajectory, name))
+    return result
+
+
+class TestRawGradientPick:
+    """The binary pick by argmax on the raw gradient row, at its edges."""
+
+    @pytest.mark.parametrize("dtype,scale,level,theta", [
+        ("float64", 200.0, 1.0, 0.1),   # logit gap ~392
+        ("float32", 15.0, 2.0, 0.3),    # the same row, doubled: gap ~29
+    ])
+    def test_underflowing_squares_take_the_reference_pick(self, dtype, scale,
+                                                          level, theta):
+        network = scaled_mlp(dtype, scale)
+        features = level * SATURATING_ROW
+        # Every positive gradient squares to a subnormal in the network's
+        # dtype, where t * t can tie for distinct t.
+        row = network.class_gradients(features, class_index=0)
+        assert row.dtype == np.dtype(dtype)
+        assert 0.0 < row.max() < np.sqrt(np.finfo(row.dtype).tiny)
+        if row.dtype == np.float32:
+            # Above float64's bound: a guard with float64 limits passes it.
+            assert row.max() > np.sqrt(np.finfo(np.float64).tiny)
+        attack = JsmaAttack(network, PerturbationConstraints(theta=theta,
+                                                             gamma=0.5))
+        result = assert_matches_reference(attack, features)
+        assert result.iterations[0] > 1
+
+    @pytest.mark.parametrize("nan_blocked", [False, True],
+                             ids=["nan-free", "nan-blocked"])
+    def test_nan_gradient_column_takes_the_reference_pick(self, nan_blocked):
+        network = NeuralNetwork.mlp([12, 8, 2], random_state=3)
+        # Hidden unit 5 reads NaN and ReLU zeroes it, so the logits stay
+        # finite while column 4 of every input gradient is 0 * NaN = NaN.
+        network.layers[0].weight.value[4, 5] = np.nan
+        rng = np.random.default_rng(3)
+        features = rng.random((6, 12))
+        features[features < 0.5] = 0.0
+        mask = np.ones(12, dtype=bool)
+        mask[4] = not nan_blocked
+        row = network.class_gradients(features, class_index=0)
+        assert np.isnan(row[:, 4]).all() and np.isfinite(np.delete(row, 4, 1)).all()
+        attack = JsmaAttack(network, PerturbationConstraints(
+            theta=0.2, gamma=0.5, feature_mask=mask), early_stop=False)
+        assert_matches_reference(attack, features)
+
+    @pytest.mark.parametrize("how", ["mask", "saturated"])
+    def test_positive_gradients_only_on_blocked_cells_end_infeasible(self, how):
+        # One Dense layer: dF_0/dx = p0 * p1 * (W[:, 0] - W[:, 1]), so the
+        # target row is positive on columns 0 and 1 and negative on 2 and 3
+        # for every input.
+        network = NeuralNetwork.mlp([4, 2], random_state=0)
+        network.layers[0].weight.value[...] = [[1.0, 0.0], [1.0, 0.0],
+                                               [0.0, 1.0], [0.0, 1.0]]
+        network.layers[0].bias.value[...] = [0.0, 3.0]
+        if how == "mask":
+            features = np.array([[0.0, 0.2, 0.5, 0.0]])
+            mask = np.array([False, False, True, True])
+        else:
+            features = np.array([[1.0, 1.0, 0.5, 0.0]])
+            mask = None
+        attack = JsmaAttack(network, PerturbationConstraints(
+            theta=0.1, gamma=1.0, feature_mask=mask))
+        assert network.predict(features)[0] == 1
+        # A salient row whose salient cells are all blocked has no feasible
+        # feature: it must not fall back to the raw (negative) gradient.
+        result = assert_matches_reference(attack, features)
+        assert result.iterations.tolist() == [0]
+        assert_same_bytes(result.adversarial, features)

@@ -271,3 +271,24 @@ class TestInstrumentedSeams:
         assert counters["jsma.features_flipped"] >= 1.0
         histograms = obs.snapshot()["metrics"]["histograms"]
         assert histograms["span.attack.jsma"]["count"] == 1
+
+    def test_jsma_samples_count_every_run_of_a_theta_sweep(self, small_mlp):
+        from repro.attacks.constraints import PerturbationConstraints
+        from repro.attacks.jsma import JsmaAttack
+        from repro.evaluation.security_curve import PAPER_THETA_GRID, theta_sweep
+
+        def factory(constraints: PerturbationConstraints) -> JsmaAttack:
+            return JsmaAttack(small_mlp, constraints)
+
+        rng = np.random.default_rng(5)
+        features = (rng.random((5, 12)) < 0.3).astype(np.float64)
+        obs = Instrumentation()
+        with instrumented(obs):
+            theta_sweep(factory, features, {"target": small_mlp}, gamma=0.25,
+                        theta_values=PAPER_THETA_GRID)
+        # The grid starts at θ = 0, a run that returns before any step.
+        assert PAPER_THETA_GRID[0] == 0.0
+        runs = len(PAPER_THETA_GRID)
+        metrics = obs.snapshot()["metrics"]
+        assert metrics["histograms"]["span.attack.jsma"]["count"] == runs
+        assert metrics["counters"]["jsma.samples"] == 5.0 * runs
