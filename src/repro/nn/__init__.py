@@ -17,10 +17,11 @@ re-implements the pieces those experiments need:
   and early stopping,
 * classification metrics (confusion matrix, TPR/TNR/FPR/FNR, ROC/AUC)
   (:mod:`metrics`),
-* a tensor compute engine (:mod:`engine`) controlling the compute dtype and
-  buffer reuse of every hot path.
+* the compute dtype of every hot path (:mod:`engine`).
 
-Engine configuration (see :mod:`repro.nn.engine` for the full contract):
+Layers keep no output buffers: every result is a new array (an identity
+layer hands back its input), so it stays valid across later passes.
+
 ``float64`` is the default compute dtype and reproduces the reference
 experiment outputs digit for digit; set ``REPRO_DTYPE=float32`` (or call
 :func:`~repro.nn.engine.set_default_dtype` / use the
@@ -33,15 +34,7 @@ networks additionally use a fused single-backward Jacobian in
 """
 
 from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Tanh, softmax
-from repro.nn.engine import (
-    TensorEngine,
-    as_compute,
-    compute_dtype,
-    get_engine,
-    set_default_dtype,
-    set_engine,
-    use_dtype,
-)
+from repro.nn.engine import as_compute, compute_dtype, set_default_dtype, use_dtype
 from repro.nn.initializers import he_normal, xavier_uniform, zeros_init
 from repro.nn.layers import Dense, Dropout, Layer, Parameter
 from repro.nn.losses import Loss, MeanSquaredError, SoftmaxCrossEntropy
@@ -60,8 +53,7 @@ from repro.nn.training import EarlyStopping, Trainer, TrainingHistory
 
 __all__ = [
     "ReLU", "LeakyReLU", "Sigmoid", "Tanh", "softmax",
-    "TensorEngine", "get_engine", "set_engine", "compute_dtype",
-    "set_default_dtype", "use_dtype", "as_compute",
+    "compute_dtype", "set_default_dtype", "use_dtype", "as_compute",
     "he_normal", "xavier_uniform", "zeros_init",
     "Layer", "Dense", "Dropout", "Parameter",
     "Loss", "SoftmaxCrossEntropy", "MeanSquaredError",

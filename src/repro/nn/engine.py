@@ -1,12 +1,10 @@
-"""The tensor compute engine: dtype configuration and buffer reuse.
+"""The compute dtype of the nn substrate.
 
 Every hot path of the library (training mini-batches, JSMA Jacobian steps,
-defense retraining) bottoms out in dense matmuls over numpy arrays.  This
-module centralises two performance knobs that used to be hard-coded:
-
-**Compute dtype.**  The seed implementation forced ``float64`` everywhere via
+defense retraining) bottoms out in dense matmuls over numpy arrays.  The
+seed implementation forced ``float64`` everywhere via
 ``np.asarray(..., dtype=np.float64)`` calls scattered through ``layers.py``,
-``activations.py``, ``losses.py`` and ``network.py``.  The engine makes the
+``activations.py``, ``losses.py`` and ``network.py``.  This module makes the
 dtype configurable:
 
 * ``float64`` (the default) — bit-for-bit reproduction of the paper
@@ -24,28 +22,16 @@ Select the dtype with the ``REPRO_DTYPE`` environment variable (``float64`` /
 (layers cast their inputs to the parameter dtype, so a ``float32`` network
 runs ``float32`` end to end regardless of later engine changes).
 
-**Buffer reuse.**  When :attr:`TensorEngine.reuse_buffers` is enabled (the
-default), :class:`~repro.nn.layers.Dense` writes its forward output, its
-input-gradient and its weight-gradient scratch into preallocated per-layer
-buffers (``np.matmul(..., out=...)``) instead of allocating fresh arrays on
-every call, and the :class:`~repro.nn.training.Trainer` gathers mini-batches
-into a reusable batch buffer.  The contract: an array returned by
-``Dense.forward`` / ``Dense.backward`` / ``Dense.backward_input`` is only
-valid until the *next* forward/backward pass through the same layer.
-Public methods never hand back a layer buffer.  ``predict``,
-``predict_proba`` and ``loss_input_gradient`` copy out of the buffers;
-``class_gradients`` allocates its result and has the first layer write each
-class row straight into it (``backward_input(..., out=row)``), so a row is
-neither a buffer nor a copy of one.  The aliasing is therefore invisible
-unless you call a layer directly and hold the result across passes — set
-``get_engine().reuse_buffers = False`` for that.
+Layers keep no output buffers: every result is a new array (an identity
+layer hands back its input), so it stays valid across later passes through
+the same network.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
+from typing import Iterator
 
 import numpy as np
 
@@ -57,8 +43,8 @@ _ENV_DTYPE_VAR = "REPRO_DTYPE"
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-def _resolve_dtype(dtype) -> np.dtype:
-    """Normalise a dtype spec to one of the supported compute dtypes."""
+def resolve_dtype(dtype) -> np.dtype:
+    """Normalise/validate a compute-dtype spec (``"float32"``/``"float64"``)."""
     try:
         resolved = np.dtype(dtype)
     except TypeError:
@@ -74,83 +60,29 @@ def _resolve_dtype(dtype) -> np.dtype:
     return resolved
 
 
-def resolve_dtype(dtype) -> np.dtype:
-    """Normalise/validate a compute-dtype spec (``"float32"``/``"float64"``)."""
-    return _resolve_dtype(dtype)
-
-
-def _env_default_dtype() -> np.dtype:
-    return _resolve_dtype(os.environ.get(_ENV_DTYPE_VAR, "float64"))
-
-
-class TensorEngine:
-    """Compute configuration shared by the nn substrate.
-
-    Parameters
-    ----------
-    dtype:
-        Compute dtype (``float32`` or ``float64``).  Defaults to the
-        ``REPRO_DTYPE`` environment variable, falling back to ``float64``.
-    reuse_buffers:
-        Whether layers and the trainer reuse preallocated output buffers
-        (see the module docstring for the aliasing contract).
-    """
-
-    def __init__(self, dtype=None, reuse_buffers: bool = True) -> None:
-        self.dtype = _env_default_dtype() if dtype is None else _resolve_dtype(dtype)
-        self.reuse_buffers = bool(reuse_buffers)
-
-    def asarray(self, x) -> np.ndarray:
-        """View/cast ``x`` as a compute-dtype array (no copy when possible)."""
-        return np.asarray(x, dtype=self.dtype)
-
-    def empty(self, shape) -> np.ndarray:
-        """Allocate an uninitialised compute-dtype array."""
-        return np.empty(shape, dtype=self.dtype)
-
-    def zeros(self, shape) -> np.ndarray:
-        """Allocate a zeroed compute-dtype array."""
-        return np.zeros(shape, dtype=self.dtype)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TensorEngine(dtype={self.dtype}, reuse_buffers={self.reuse_buffers})"
-
-
-_engine = TensorEngine()
-
-
-def get_engine() -> TensorEngine:
-    """The process-wide engine instance."""
-    return _engine
-
-
-def set_engine(engine: TensorEngine) -> TensorEngine:
-    """Replace the process-wide engine; returns the previous one."""
-    global _engine
-    previous, _engine = _engine, engine
-    return previous
+_dtype = resolve_dtype(os.environ.get(_ENV_DTYPE_VAR, "float64"))
 
 
 def compute_dtype() -> np.dtype:
     """The current compute dtype."""
-    return _engine.dtype
+    return _dtype
 
 
 def set_default_dtype(dtype) -> np.dtype:
     """Set the compute dtype for subsequently built networks; returns the old one."""
-    previous = _engine.dtype
-    _engine.dtype = _resolve_dtype(dtype)
+    global _dtype
+    previous, _dtype = _dtype, resolve_dtype(dtype)
     return previous
 
 
 def as_compute(x) -> np.ndarray:
     """Cast ``x`` to the current compute dtype (no copy when already right)."""
-    return np.asarray(x, dtype=_engine.dtype)
+    return np.asarray(x, dtype=_dtype)
 
 
 @contextmanager
-def use_dtype(dtype) -> Iterator[TensorEngine]:
-    """Temporarily switch the compute dtype.
+def use_dtype(dtype) -> Iterator[np.dtype]:
+    """Temporarily switch the compute dtype; yields the dtype in force.
 
     Networks built inside the block carry the dtype with them afterwards
     (it is baked into their parameters)::
@@ -161,7 +93,7 @@ def use_dtype(dtype) -> Iterator[TensorEngine]:
     """
     previous = set_default_dtype(dtype)
     try:
-        yield _engine
+        yield _dtype
     finally:
         set_default_dtype(previous)
 
@@ -176,12 +108,4 @@ def float_dtype_of(x: np.ndarray) -> np.dtype:
     dtype = getattr(x, "dtype", None)
     if dtype is not None and np.dtype(dtype) in SUPPORTED_DTYPES:
         return np.dtype(dtype)
-    return _engine.dtype
-
-
-def ensure_buffer(buf: Optional[np.ndarray], shape: Tuple[int, ...],
-                  dtype: np.dtype) -> np.ndarray:
-    """Return ``buf`` if it matches ``shape``/``dtype``, else a fresh buffer."""
-    if buf is None or buf.shape != shape or buf.dtype != dtype:
-        return np.empty(shape, dtype=dtype)
-    return buf
+    return _dtype

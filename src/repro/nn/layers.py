@@ -7,7 +7,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.exceptions import ShapeError
-from repro.nn.engine import as_compute, ensure_buffer, get_engine
+from repro.nn.engine import as_compute
 from repro.nn.initializers import get_initializer
 from repro.utils.rng import RandomState, as_rng
 
@@ -74,8 +74,7 @@ class Layer:
 
         ``out``, when given, is a caller-owned array of the input gradient's
         shape and dtype: the gradient is written into it and ``out`` is
-        returned, so the result never aliases a reused layer buffer.  Without
-        it the result may alias one (:mod:`repro.nn.engine`).
+        returned.
         """
         if self.parameters():
             raise NotImplementedError(
@@ -130,11 +129,6 @@ class Dense(Layer):
         self.weight = Parameter("weight", init(self.in_features, self.out_features, rng))
         self.bias = Parameter("bias", np.zeros(self.out_features))
         self._inputs: Optional[np.ndarray] = None
-        # Preallocated buffers reused across calls when the engine allows it
-        # (see repro.nn.engine for the aliasing contract).
-        self._fwd_out: Optional[np.ndarray] = None
-        self._bwd_out: Optional[np.ndarray] = None
-        self._wgrad_scratch: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         weight = self.weight.value
@@ -145,29 +139,16 @@ class Dense(Layer):
                 f"got {inputs.shape}"
             )
         self._inputs = inputs
-        if get_engine().reuse_buffers:
-            out = ensure_buffer(self._fwd_out, (inputs.shape[0], self.out_features),
-                                weight.dtype)
-            if out is inputs:  # square layer fed its own previous output
-                out = np.empty_like(out)
-            self._fwd_out = out
-            np.matmul(inputs, weight, out=out)
-            out += self.bias.value
-            return out
-        return inputs @ weight + self.bias.value
+        out = inputs @ weight
+        out += self.bias.value
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._inputs is None:
             raise RuntimeError("backward called before forward")
         weight = self.weight.value
         grad_output = np.asarray(grad_output, dtype=weight.dtype)
-        if get_engine().reuse_buffers:
-            scratch = ensure_buffer(self._wgrad_scratch, weight.shape, weight.dtype)
-            self._wgrad_scratch = scratch
-            np.matmul(self._inputs.T, grad_output, out=scratch)
-            self.weight.grad += scratch
-        else:
-            self.weight.grad += self._inputs.T @ grad_output
+        self.weight.grad += self._inputs.T @ grad_output
         self.bias.grad += grad_output.sum(axis=0)
         return self.backward_input(grad_output)
 
@@ -184,13 +165,7 @@ class Dense(Layer):
         weight = self.weight.value
         grad_output = np.asarray(grad_output, dtype=weight.dtype)
         if out is None:
-            if not get_engine().reuse_buffers:
-                return grad_output @ weight.T
-            out = ensure_buffer(self._bwd_out, (grad_output.shape[0], self.in_features),
-                                weight.dtype)
-            if out is grad_output:
-                out = np.empty_like(out)
-            self._bwd_out = out
+            return grad_output @ weight.T
         np.matmul(grad_output, weight.T, out=out)
         return out
 

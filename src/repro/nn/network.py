@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.exceptions import SerializationError, ShapeError
 from repro.nn.activations import ACTIVATIONS, get_activation, softmax, softmax_input_gradient
-from repro.nn.engine import SUPPORTED_DTYPES, get_engine
+from repro.nn.engine import SUPPORTED_DTYPES
 from repro.nn.layers import Dense, Dropout, Layer, Parameter
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.utils.rng import RandomState, as_rng, spawn_rngs
@@ -141,9 +141,7 @@ class NeuralNetwork:
         """Run a forward pass and return logits of shape ``(n, n_classes)``.
 
         The compute dtype follows the layer parameters (fixed when the
-        network was built, see :mod:`repro.nn.engine`).  When buffer reuse is
-        enabled the returned array may alias an internal layer buffer and is
-        only valid until the next forward pass.
+        network was built, see :mod:`repro.nn.engine`).
         """
         out = np.asarray(inputs)
         if out.ndim == 1:
@@ -153,13 +151,8 @@ class NeuralNetwork:
         return out
 
     def predict_logits(self, inputs: np.ndarray) -> np.ndarray:
-        """Logits in inference mode, as a fresh array the caller may keep.
-
-        Unlike raw :meth:`forward`, the result never aliases a reused layer
-        buffer, so consecutive calls do not overwrite each other.
-        """
-        logits = self.forward(inputs, training=False)
-        return np.array(logits) if get_engine().reuse_buffers else logits
+        """Logits in inference mode (:meth:`forward` with ``training=False``)."""
+        return self.forward(inputs, training=False)
 
     def predict_proba(self, inputs: np.ndarray,
                       temperature: Optional[float] = None) -> np.ndarray:
@@ -199,10 +192,9 @@ class NeuralNetwork:
         """Backpropagate to the input only, through every layer.
 
         Computes no parameter gradient and leaves every ``Parameter.grad``
-        as it was.  The result may alias a reused layer buffer
-        (:mod:`repro.nn.engine`) unless ``out`` is given: the first layer
-        then writes the input gradient straight into that caller-owned
-        array (:meth:`Layer.backward_input`), which is returned.
+        as it was.  With ``out`` the first layer writes the input gradient
+        straight into that caller-owned array (:meth:`Layer.backward_input`),
+        which is returned.
         """
         grad = np.asarray(grad_logits)
         for layer in self.layers[:0:-1]:
@@ -243,7 +235,7 @@ class NeuralNetwork:
         ``(n_classes, n_samples, n_features)`` block, so each class row
         ``jacobian[:, i, :]`` is one contiguous array.  Each row's backward
         writes straight into its slice of the block (``out=``), so nothing
-        is copied and nothing aliases a layer buffer.
+        is copied.
 
         ``class_index=k`` returns only row ``k``, as a fresh contiguous
         ``(n_samples, n_features)`` array bitwise equal to
@@ -297,9 +289,7 @@ class NeuralNetwork:
         loss = SoftmaxCrossEntropy(temperature=temp)
         logits = self.forward(inputs, training=False)
         loss.forward(logits, labels)
-        # Copy: backward_input() may return a reused layer buffer
-        # (repro.nn.engine).
-        return np.array(self.backward_input(loss.backward()))
+        return self.backward_input(loss.backward())
 
     # ------------------------------------------------------------------ #
     # Serialization

@@ -8,7 +8,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.nn.engine import ensure_buffer, get_engine
+from repro.nn.engine import as_compute
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.nn.network import NeuralNetwork
@@ -144,7 +144,7 @@ class Trainer:
     def _validate_inputs(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Cast to the compute dtype once up front so per-batch slices need no
         # dtype conversion inside the epoch loop.
-        x = get_engine().asarray(x)
+        x = as_compute(x)
         y = np.asarray(y)
         if x.ndim != 2:
             raise ShapeError(f"training inputs must be 2-D, got shape {x.shape}")
@@ -174,14 +174,6 @@ class Trainer:
         indices = np.arange(n_samples)
         hard_labels = y_train if y_train.ndim == 1 else np.argmax(y_train, axis=1)
 
-        # Reusable mini-batch gather buffers: full-size batches are copied
-        # into preallocated arrays (np.take with out=) instead of allocating
-        # a fresh batch every step; the ragged final batch falls back to
-        # fancy indexing.
-        reuse = get_engine().reuse_buffers
-        x_buf: Optional[np.ndarray] = None
-        y_buf: Optional[np.ndarray] = None
-
         for epoch in range(self.epochs):
             if self.shuffle:
                 self._rng.shuffle(indices)
@@ -189,18 +181,8 @@ class Trainer:
             n_batches = 0
             for start in range(0, n_samples, self.batch_size):
                 batch_idx = indices[start:start + self.batch_size]
-                if reuse and batch_idx.size == self.batch_size:
-                    x_buf = ensure_buffer(
-                        x_buf, (self.batch_size,) + x_train.shape[1:], x_train.dtype)
-                    y_buf = ensure_buffer(
-                        y_buf, (self.batch_size,) + y_train.shape[1:], y_train.dtype)
-                    np.take(x_train, batch_idx, axis=0, out=x_buf)
-                    np.take(y_train, batch_idx, axis=0, out=y_buf)
-                    x_batch, y_batch = x_buf, y_buf
-                else:
-                    x_batch, y_batch = x_train[batch_idx], y_train[batch_idx]
                 batch_loss = self.network.train_step(
-                    x_batch, y_batch, self.loss, self.optimizer)
+                    x_train[batch_idx], y_train[batch_idx], self.loss, self.optimizer)
                 epoch_loss += batch_loss
                 n_batches += 1
             history.train_loss.append(epoch_loss / max(n_batches, 1))

@@ -32,7 +32,7 @@ def baseline_verdicts(tiny_context, malware_rows):
     return ScoringService(servable).score_many(list(malware_rows))
 
 
-def _chaotic_fleet(tiny_context, obs):
+def _chaotic_fleet(tiny_context, obs, max_delay_ms=2.0):
     plan = FaultPlan(specs=(
         FaultSpec(site="fleet.dispatch", action="crash", at=3,
                   where={"worker": 1}),
@@ -40,6 +40,7 @@ def _chaotic_fleet(tiny_context, obs):
                   where={"worker": 0}),
     ))
     return WorkerFleet(n_workers=2, context=tiny_context, max_batch_size=8,
+                       max_delay_ms=max_delay_ms,
                        restart_budget=2, fault_plan=plan,
                        retry_policy=RetryPolicy(max_retries=2,
                                                 base_delay_s=0.01, seed=7),
@@ -50,7 +51,11 @@ class TestTraceUnderChaos:
     @pytest.fixture(scope="class")
     def chaotic_run(self, tiny_context, malware_rows):
         obs = Instrumentation(sink=ListSink(max_events=32768))
-        fleet = _chaotic_fleet(tiny_context, obs)
+        # Replica 1 crashes at its 3rd pickup.  A doubled queue hop needs a
+        # request it had submitted but not yet flushed when it died; with
+        # the 2 ms default window a pause between pickups flushes them
+        # first, so the long window keeps them pending until the crash.
+        fleet = _chaotic_fleet(tiny_context, obs, max_delay_ms=500.0)
         verdicts, report = fleet.score_stream(list(malware_rows))
         return verdicts, report
 

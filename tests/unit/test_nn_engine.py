@@ -1,4 +1,4 @@
-"""Tests for the tensor compute engine (dtype config + buffer reuse)."""
+"""Tests for the compute dtype and the fresh-array results of ``repro.nn``."""
 
 import numpy as np
 import pytest
@@ -6,20 +6,9 @@ import pytest
 from repro.attacks.constraints import PerturbationConstraints
 from repro.attacks.jsma import JsmaAttack
 from repro.exceptions import ConfigurationError
-from repro.nn.engine import (
-    TensorEngine,
-    as_compute,
-    compute_dtype,
-    ensure_buffer,
-    get_engine,
-    set_default_dtype,
-    set_engine,
-    use_dtype,
-)
-from repro.nn.layers import Dense, Parameter
+from repro.nn.engine import as_compute, compute_dtype, set_default_dtype, use_dtype
+from repro.nn.layers import Parameter
 from repro.nn.network import NeuralNetwork
-from repro.nn.optimizers import Adam
-from repro.nn.training import Trainer
 
 
 class TestEngineConfiguration:
@@ -60,28 +49,14 @@ class TestEngineConfiguration:
         with pytest.raises(ConfigurationError):
             set_default_dtype("int32")
         with pytest.raises(ConfigurationError):
-            TensorEngine(dtype="float16")
+            set_default_dtype("float16")
         with pytest.raises(ConfigurationError):
             # Not a dtype at all (np.dtype raises TypeError internally).
             set_default_dtype("bogus")
 
-    def test_set_engine_swaps_instance(self):
-        replacement = TensorEngine(dtype="float64", reuse_buffers=False)
-        previous = set_engine(replacement)
-        try:
-            assert get_engine() is replacement
-        finally:
-            set_engine(previous)
-
     def test_as_compute_avoids_copy_when_possible(self):
         x = np.zeros((3, 3), dtype=compute_dtype())
         assert as_compute(x) is x
-
-    def test_ensure_buffer_reuses_matching_buffer(self):
-        buf = np.empty((4, 5), dtype=np.float64)
-        assert ensure_buffer(buf, (4, 5), np.dtype(np.float64)) is buf
-        assert ensure_buffer(buf, (4, 6), np.dtype(np.float64)) is not buf
-        assert ensure_buffer(None, (2, 2), np.dtype(np.float32)).dtype == np.float32
 
 
 class TestDtypePropagation:
@@ -128,37 +103,11 @@ class TestDtypePropagation:
 
 
 class TestBufferReuseEquivalence:
-    """Buffer reuse is a pure optimisation: outputs must be identical."""
-
-    def _run_all(self, reuse: bool):
-        engine = TensorEngine(dtype="float64", reuse_buffers=reuse)
-        previous = set_engine(engine)
-        try:
-            rng = np.random.default_rng(42)
-            x = rng.random((32, 9))
-            y = rng.integers(0, 2, size=32)
-            network = NeuralNetwork.mlp([9, 7, 5, 2], random_state=3)
-            trainer = Trainer(network, optimizer=Adam(learning_rate=1e-3),
-                              batch_size=10, epochs=3, random_state=4)
-            history = trainer.fit(x, y)
-            logits = np.array(network.predict_logits(x))
-            jacobian = network.class_gradients(x)
-            grad = network.loss_input_gradient(x, y)
-            return history.train_loss, logits, jacobian, grad
-        finally:
-            set_engine(previous)
-
-    def test_reuse_matches_no_reuse(self):
-        loss_on, logits_on, jac_on, grad_on = self._run_all(reuse=True)
-        loss_off, logits_off, jac_off, grad_off = self._run_all(reuse=False)
-        np.testing.assert_allclose(loss_on, loss_off, rtol=1e-12)
-        np.testing.assert_allclose(logits_on, logits_off, rtol=1e-12)
-        np.testing.assert_allclose(jac_on, jac_off, rtol=1e-12)
-        np.testing.assert_allclose(grad_on, grad_off, rtol=1e-12)
+    """No result of one pass is overwritten by a later pass."""
 
     def test_consecutive_backwards_do_not_clobber_jacobian(self):
-        # The per-class loop runs several backwards off one forward; the
-        # Jacobian rows must not alias the reused layer buffers.
+        # The per-class loop runs several backwards off one forward; a later
+        # backward must leave the rows already written as they are.
         network = NeuralNetwork.mlp([8, 6, 3], random_state=5)
         x = np.random.default_rng(6).random((4, 8))
         jacobian = network.class_gradients(x)
@@ -166,6 +115,18 @@ class TestBufferReuseEquivalence:
         again = network.class_gradients(x)
         for i in range(3):
             np.testing.assert_array_equal(again[:, i, :], rows[i])
+
+    def test_raw_forward_and_backward_input_survive_the_next_call(self):
+        network = NeuralNetwork.mlp([6, 5, 4, 2], random_state=7)
+        rng = np.random.default_rng(8)
+        logits = network.forward(rng.random((5, 6)))
+        kept_logits = logits.copy()
+        network.forward(rng.random((5, 6)))
+        assert logits.tobytes() == kept_logits.tobytes()
+        grad = network.backward_input(rng.random((5, 2)))
+        kept_grad = grad.copy()
+        network.backward_input(rng.random((5, 2)))
+        assert grad.tobytes() == kept_grad.tobytes()
 
 
 class TestAttackDtypeAgreement:
