@@ -8,6 +8,9 @@ defended endpoints, degenerate logs (empty / fully unmonitored) and the
 mixed-traffic replay loop.
 """
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from repro.serving import (
     ModelRegistry,
     ScoringService,
     TrafficMix,
+    Verdict,
     replay,
 )
 
@@ -79,6 +83,21 @@ class TestVerdictCorrectness:
         payload = verdict.as_dict()
         assert payload["label"] in (0, 1)
         assert payload["model_version"] == servable.version
+
+    def test_scored_verdicts_equal_constructed_verdicts(self, servable, log_requests):
+        # The scoring loop fills each verdict's __dict__ instead of calling
+        # the frozen dataclass's __init__; the objects must not differ.
+        verdicts = ScoringService(servable).score_many(log_requests[:4])
+        for verdict in verdicts:
+            rebuilt = Verdict(**{field.name: getattr(verdict, field.name)
+                                 for field in dataclasses.fields(Verdict)})
+            assert list(vars(verdict).items()) == list(vars(rebuilt).items())
+            assert verdict == rebuilt and hash(verdict) == hash(rebuilt)
+            assert type(verdict.label) is int
+            assert type(verdict.malware_probability) is float
+            assert pickle.dumps(verdict) == pickle.dumps(rebuilt)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                verdict.label = 0
 
     def test_feature_payloads_score_identically_to_logs(self, servable, log_requests):
         service = ScoringService(servable)

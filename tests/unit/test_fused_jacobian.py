@@ -230,7 +230,7 @@ class TestClassIndex:
     @pytest.mark.parametrize("sizes,fused", [
         ([9, 7, 2], None), ([9, 7, 2], False),
         ([12, 10, 6, 2], None), ([8, 6, 3], None),
-    ])
+    ], ids=["fused", "loop", "deep", "3-class"])
     def test_row_equals_the_jacobian_row_bitwise(self, engine, sizes, fused):
         network = NeuralNetwork.mlp(sizes, activation="tanh", random_state=31)
         x = random_batch(sizes[0], n_samples=7, seed=31)
