@@ -72,41 +72,45 @@ def feature_requests(servable, log_requests):
             for index in range(rows.shape[0])]
 
 
-def _measure_single(servable, requests, repeats: int = 3):
-    """Best-of single-request replay: (elapsed_s, verdicts, report)."""
-    best = None
-    for _ in range(repeats):
-        service = ScoringService(servable)
-        start = time.perf_counter()
-        verdicts = [service.score(request) for request in requests]
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best[0]:
-            best = (elapsed, verdicts, service.report(elapsed))
-    return best
+def _replay_single(servable, requests):
+    """One single-request replay: (elapsed_s, verdicts, report)."""
+    service = ScoringService(servable)
+    start = time.perf_counter()
+    verdicts = [service.score(request) for request in requests]
+    elapsed = time.perf_counter() - start
+    return elapsed, verdicts, service.report(elapsed)
 
 
-def _measure_batched(servable, requests, repeats: int = 3):
-    """Best-of micro-batched replay: (elapsed_s, verdicts, report)."""
-    best = None
-    for _ in range(repeats):
-        service = ScoringService(servable, max_batch_size=BATCH_SIZE)
-        start = time.perf_counter()
-        verdicts = []
-        for request in requests:
-            verdicts.extend(service.submit(request))
-        verdicts.extend(service.drain())
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best[0]:
-            best = (elapsed, verdicts, service.report(elapsed))
-    return best
+def _replay_batched(servable, requests):
+    """One micro-batched replay: (elapsed_s, verdicts, report)."""
+    service = ScoringService(servable, max_batch_size=BATCH_SIZE)
+    start = time.perf_counter()
+    verdicts = []
+    for request in requests:
+        verdicts.extend(service.submit(request))
+    verdicts.extend(service.drain())
+    elapsed = time.perf_counter() - start
+    return elapsed, verdicts, service.report(elapsed)
+
+
+def _measure_both(servable, requests, blocks: int = 3):
+    """Best-of replays of each path, run in ABBA blocks (single, batched,
+    batched, single), so drift on the box reaches both sides alike.
+    Returns the (single, batched) best runs."""
+    best = {}
+    for _ in range(blocks):
+        for replay in (_replay_single, _replay_batched, _replay_batched, _replay_single):
+            run = replay(servable, requests)
+            if replay not in best or run[0] < best[replay][0]:
+                best[replay] = run
+    return best[_replay_single], best[_replay_batched]
 
 
 def test_bench_batched_vs_single_feature_path(servable, feature_requests):
     """Micro-batching wins ≥ 5× on the pure scoring path (small profile)."""
-    single_s, single_verdicts, single_report = _measure_single(
-        servable, feature_requests)
-    batched_s, batched_verdicts, batched_report = _measure_batched(
-        servable, feature_requests)
+    (single_s, single_verdicts, single_report), \
+        (batched_s, batched_verdicts, batched_report) = _measure_both(
+            servable, feature_requests)
     assert [v.label for v in batched_verdicts] == \
            [v.label for v in single_verdicts]
 
@@ -130,8 +134,8 @@ def test_bench_batched_vs_single_feature_path(servable, feature_requests):
 def test_bench_batched_vs_single_log_path(servable, log_requests):
     """End-to-end log scoring also gains from batching (featurisation rides
     along in both paths, so the ratio is smaller than the pure engine win)."""
-    single_s, _, single_report = _measure_single(servable, log_requests)
-    batched_s, _, batched_report = _measure_batched(servable, log_requests)
+    (single_s, _, single_report), (batched_s, _, batched_report) = _measure_both(
+        servable, log_requests)
     speedup = single_s / batched_s
     BENCH.record("serving_log_path",
                  n_requests=len(log_requests), batch_size=BATCH_SIZE,

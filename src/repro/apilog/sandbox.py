@@ -162,8 +162,6 @@ class Sandbox:
     # Full log generation (Table II path)
     # ------------------------------------------------------------------ #
     def _render_args(self, api: str, rng: np.random.Generator) -> tuple[str, ...]:
-        if not self.record_args:
-            return ()
         template = _ARG_TEMPLATES.get(api)
         if template is None:
             return ()
@@ -187,6 +185,15 @@ class Sandbox:
         The log interleaves the OS runtime preamble with the sample's own
         calls in a plausible order: preamble first (as in Table II), then the
         program body with call sites shuffled into a call sequence.
+
+        Without ``record_args`` the log is built as columns: the body's
+        ``int32`` API codes come from one ``np.repeat`` and one shuffle, and
+        the return addresses from one ``size=n`` draw before the shuffle
+        (preamble) and one after it (body).  numpy gives those the values of
+        the per-call draws, and the code array the permutation of the
+        per-call name list, so both paths log the same calls for the same
+        seed.  With ``record_args`` each call's argument draws follow its
+        address draw, so that path draws call by call.
         """
         rng = self._rng
         counts_rng = np.random.default_rng(int(rng.integers(2**63 - 1)))
@@ -203,38 +210,53 @@ class Sandbox:
             if repeats > 0:
                 body_counts[api] = repeats
 
-        log = ApiLog(sample_id=sample.sample_id, os_version=self.os_version,
-                     label=sample.label)
         thread_main = int(rng.integers(40000, 99999))
         thread_worker = thread_main + int(rng.integers(8, 64))
         base_address = int(rng.integers(0x13F000000, 0x140000000))
         runtime_address = int(rng.integers(0x7FEFD000000, 0x7FEFE000000))
+        if self.record_args:
+            records: List[LogRecord] = []
 
-        def _emit(api: str, count: int, thread_id: int, base: int) -> None:
-            for _ in range(count):
+            def _emit(api: str, thread_id: int, base: int) -> None:
                 address = base + int(rng.integers(0x100, 0xFFFF))
-                log.append(LogRecord(api=api, address=address,
-                                     args=self._render_args(api, rng),
-                                     thread_id=thread_id))
+                records.append(LogRecord(api=api, address=address,
+                                         args=self._render_args(api, rng),
+                                         thread_id=thread_id))
 
-        preamble_calls = 0
-        for api, count in preamble_counts.items():
-            _emit(api, count, thread_main, runtime_address)
-            preamble_calls += count
-
-        # The program body: expand counts into a flat call sequence and
-        # shuffle it so related APIs interleave like a real trace.
-        body_sequence: List[str] = []
-        for api, count in body_counts.items():
-            body_sequence.extend([api] * count)
-        rng.shuffle(body_sequence)
-        sample_calls = len(body_sequence)
-        for index, api in enumerate(body_sequence):
-            thread_id = thread_main if index % 7 else thread_worker
-            _emit(api, 1, thread_id, base_address)
+            for api, count in preamble_counts.items():
+                for _ in range(count):
+                    _emit(api, thread_main, runtime_address)
+            # The program body: expand counts into a flat call sequence and
+            # shuffle it so related APIs interleave like a real trace.
+            body_sequence = [api for api, count in body_counts.items() for _ in range(count)]
+            rng.shuffle(body_sequence)
+            for index, api in enumerate(body_sequence):
+                _emit(api, thread_main if index % 7 else thread_worker, base_address)
+            log = ApiLog(sample_id=sample.sample_id, os_version=self.os_version,
+                         label=sample.label, records=records)
+        else:
+            # The same body as a code column, expanded and shuffled.
+            spellings = list(dict.fromkeys([*preamble_counts, *body_counts]))
+            code_of = {api: code for code, api in enumerate(spellings)}
+            preamble = np.repeat(np.arange(len(preamble_counts), dtype=np.int32),
+                                 np.fromiter(preamble_counts.values(), np.intp))
+            body = np.repeat(np.array([code_of[api] for api in body_counts], dtype=np.int32),
+                             np.fromiter(body_counts.values(), np.intp))
+            preamble_addresses = runtime_address + rng.integers(0x100, 0xFFFF,
+                                                                size=preamble.size)
+            rng.shuffle(body)
+            body_addresses = base_address + rng.integers(0x100, 0xFFFF, size=body.size)
+            log = ApiLog.from_columns(
+                sample.sample_id, self.os_version, sample.label, spellings,
+                np.concatenate([preamble, body]),
+                np.concatenate([preamble_addresses, body_addresses]),
+                np.concatenate([np.full(preamble.size, thread_main),
+                                np.where(np.arange(body.size) % 7, thread_main,
+                                         thread_worker)]))
 
         return SandboxRun(log=log, os_version=self.os_version, intensity=intensity,
-                          preamble_calls=preamble_calls, sample_calls=sample_calls)
+                          preamble_calls=sum(preamble_counts.values()),
+                          sample_calls=sum(body_counts.values()))
 
     def execute_to_text(self, sample: SourceSample) -> str:
         """Execute ``sample`` and return the log rendered as Table II text."""

@@ -26,18 +26,20 @@ class CountExtractor:
     hooked APIs.
 
     Every API name is resolved to its catalog column once per extractor, not
-    once per record: a name cache maps each name as it appears in the log
+    once per call: a name cache maps each name as it appears in the log
     (``GetStartupInfoW`` and ``getstartupinfow`` are two entries) to its
     column, and every unmonitored name to a spill column one past the last
-    catalog column.  One list comprehension then turns a log's records into
-    column ids and one ``np.bincount`` counts them into the row; the spill
-    column is dropped.  Mappings take the same path with their counts as
-    ``bincount`` weights, which accumulates case-variant keys in dict order
-    exactly as a per-key ``+=`` does.  The cache holds at most
+    catalog column.  A log stores each distinct spelling once, with one
+    ``int32`` code per call (see :class:`~repro.apilog.log_format.ApiLog`),
+    so counting it takes a lookup per distinct spelling, one gather of the
+    resulting column table by the code column, and one ``np.bincount``; the
+    spill column is dropped.  Mappings take the same path with their counts
+    as ``bincount`` weights, which accumulates case-variant keys in dict
+    order exactly as a per-key ``+=`` does.  The cache holds at most
     ``NAME_CACHE_FACTOR`` names per catalog column; names past that resolve
     without being stored.
 
-    Counts are recomputed from the records on every call.  Nothing is
+    Counts are recomputed from the columns on every call.  Nothing is
     memoised per log: a log may be appended to after it was scored, and a
     per-log memo would make a benchmark that replays the same log objects
     measure the memo instead of the featurisation.
@@ -72,27 +74,31 @@ class CountExtractor:
             ids.append(column)
         return ids
 
+    def _columns_of(self, names: Iterable[str]) -> np.ndarray:
+        """The column of every name, from the cache when it holds them all."""
+        columns = self._columns
+        try:
+            ids = [columns[name] for name in names]
+        except KeyError:
+            ids = self._resolve(names)
+        return np.array(ids, dtype=np.intp)
+
     def _spill_counts(self, source: CountSource) -> np.ndarray:
         """Counts per catalog column of one source, then the spill column."""
         weights = None
         if isinstance(source, ApiLog):
-            columns = self._columns
-            try:
-                ids = [columns[record.api] for record in source.records]
-            except KeyError:
-                ids = self._resolve([record.api for record in source.records])
+            ids = self._columns_of(source.spellings).take(source.codes)
         elif isinstance(source, Mapping):
             for api, count in source.items():
                 if count < 0:
                     raise ShapeError(f"negative count for API {api!r}")
-            ids = self._resolve(source)
+            ids = self._columns_of(source)
             weights = np.fromiter(source.values(), np.float64, len(ids))
         else:
             raise ShapeError(
                 f"expected an ApiLog or a mapping of api->count, got {type(source).__name__}"
             )
-        return np.bincount(np.fromiter(ids, np.intp, len(ids)), weights,
-                           minlength=self.n_features + 1)
+        return np.bincount(ids, weights, minlength=self.n_features + 1)
 
     def extract(self, source: CountSource) -> np.ndarray:
         """Extract a single raw-count vector of shape ``(n_features,)``."""

@@ -51,6 +51,8 @@ def softmax_input_gradient(probabilities: np.ndarray, class_index: int,
 class ReLU(Layer):
     """Rectified linear unit: ``max(0, x)``."""
 
+    _CACHES = ("_mask",)
+
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         self._mask = inputs > 0
         return np.where(self._mask, inputs, 0.0)
@@ -64,6 +66,8 @@ class ReLU(Layer):
 
 class LeakyReLU(Layer):
     """Leaky ReLU with configurable negative slope."""
+
+    _CACHES = ("_mask",)
 
     def __init__(self, negative_slope: float = 0.01) -> None:
         super().__init__()
@@ -90,6 +94,8 @@ class LeakyReLU(Layer):
 class Sigmoid(Layer):
     """Logistic sigmoid activation."""
 
+    _CACHES = ("_out",)
+
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         # Clip to avoid overflow in exp for extreme logits.
         self._out = 1.0 / (1.0 + np.exp(-np.clip(inputs, -60.0, 60.0)))
@@ -104,6 +110,8 @@ class Sigmoid(Layer):
 
 class Tanh(Layer):
     """Hyperbolic tangent activation."""
+
+    _CACHES = ("_out",)
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         self._out = np.tanh(inputs)

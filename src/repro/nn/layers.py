@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -47,8 +47,21 @@ class Layer:
     :meth:`backward_input`.
     """
 
+    #: Attributes a forward call leaves for the next backward.  They are
+    #: per-call state: a pickled (or deep-copied) layer carries them as
+    #: ``None``, so a network sent to a worker after scoring a large batch
+    #: does not ship that batch's activations.
+    _CACHES: Tuple[str, ...] = ()
+
     def __init__(self) -> None:
         self.training = False
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._CACHES:
+            if name in state:
+                state[name] = None
+        return state
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         """Compute the layer output for ``inputs``."""
@@ -112,6 +125,8 @@ class Dense(Layer):
     random_state:
         Seed or generator for weight initialisation.
     """
+
+    _CACHES = ("_inputs",)
 
     def __init__(self, in_features: int, out_features: int,
                  weight_init: str = "he_normal",
@@ -195,6 +210,8 @@ class Dropout(Layer):
     survivors are scaled by ``1 / (1 - rate)`` so that inference needs no
     rescaling.  At inference time the layer is the identity.
     """
+
+    _CACHES = ("_mask",)
 
     def __init__(self, rate: float = 0.5, random_state: RandomState = None) -> None:
         super().__init__()

@@ -1,9 +1,12 @@
 """Differential property test: ``CountExtractor`` against the per-record path.
 
-The oracle is the straightforward featurisation: ``ApiLog.api_counts()``
-(one lower-cased dict update per record), then one catalog lookup and one
-``+=`` per API, in dict order.  The extractor must match it byte for byte
-on batches that mix logs and mappings, whatever its name cache holds.
+The oracle is the straightforward featurisation: one lower-cased dict
+update per record of ``ApiLog.records``, then one catalog lookup and one
+``+=`` per API, in dict order.  The extractor, which counts a log's code
+column, must match it byte for byte on batches that mix logs built from
+records, logs built from columns and mappings, whatever its name cache
+holds, and after the logs are appended to.  ``ApiLog.api_counts()`` must
+equal the per-record counts, in the same order.
 """
 
 import string
@@ -20,10 +23,18 @@ from repro.features.extraction import CountExtractor
 CATALOGS = {"default": default_catalog(), "64": build_catalog(n_features=64)}
 
 
+def per_record_counts(log):
+    counts = {}
+    for record in log.records:
+        key = record.api.lower()
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def oracle(catalog, sources):
     rows = np.zeros((len(sources), len(catalog)), dtype=np.float64)
     for row, source in zip(rows, sources):
-        counts = source.api_counts() if isinstance(source, ApiLog) else source
+        counts = per_record_counts(source) if isinstance(source, ApiLog) else source
         for api, count in counts.items():
             key = api.lower()
             if catalog.monitored(key):
@@ -52,6 +63,22 @@ def logs(catalog):
                                       enumerate(names)]))
 
 
+@st.composite
+def columnar_logs(draw, catalog):
+    """Logs built from columns: spellings in any order, some of them unused."""
+    spellings = draw(st.lists(api_names(catalog), max_size=12, unique=True))
+    codes = draw(st.lists(st.integers(0, len(spellings) - 1), max_size=40)
+                 if spellings else st.just([]))
+    dtype = draw(st.sampled_from([np.int32, np.int64, np.uint16]))
+    n = len(codes)
+    return ApiLog.from_columns("s", "win7", None, spellings, np.array(codes, dtype=dtype),
+                               np.arange(n), np.zeros(n, dtype=np.int64))
+
+
+def any_logs(catalog):
+    return st.one_of(logs(catalog), columnar_logs(catalog))
+
+
 counts = st.one_of(st.integers(0, 10 ** 6),
                    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
 
@@ -67,7 +94,7 @@ def mappings(draw, catalog):
 
 
 def batches(catalog):
-    return st.lists(st.one_of(logs(catalog), mappings(catalog)), max_size=6)
+    return st.lists(st.one_of(any_logs(catalog), mappings(catalog)), max_size=6)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGS))
@@ -84,3 +111,20 @@ def test_extract_batch_matches_per_record_oracle(name, data):
         assert got.tobytes() == expected.tobytes()
     for source, row in zip(sources, expected):
         assert extractor.extract(source).tobytes() == row.tobytes()
+        if isinstance(source, ApiLog):
+            assert (list(source.api_counts().items())
+                    == list(per_record_counts(source).items()))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGS))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_counts_follow_appends_after_a_first_extract(name, data):
+    catalog = CATALOGS[name]
+    sources = data.draw(st.lists(any_logs(catalog), min_size=1, max_size=4))
+    extractor = CountExtractor(catalog)
+    assert extractor.extract_batch(sources).tobytes() == oracle(catalog, sources).tobytes()
+    for log in sources:
+        for api in data.draw(st.lists(api_names(catalog), min_size=1, max_size=8)):
+            log.append(LogRecord(api, 0x1))
+    assert extractor.extract_batch(sources).tobytes() == oracle(catalog, sources).tobytes()

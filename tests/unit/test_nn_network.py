@@ -1,5 +1,7 @@
 """Tests for the NeuralNetwork container (forward, gradients, persistence)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,31 @@ class TestPersistence:
         np.savez_compressed(path / "arrays.npz", **arrays)
         with pytest.raises(SerializationError):
             NeuralNetwork.load(path)
+
+
+class TestPickle:
+    """A pickled network carries its weights, not its last call's caches."""
+
+    def test_pickle_after_a_large_call_is_the_fresh_size(self):
+        network = NeuralNetwork.mlp([491, 82, 41, 2], random_state=0)
+        fresh = len(pickle.dumps(network))
+        x = np.random.default_rng(0).random((2048, 491))
+        expected = network.predict_proba(x)
+        gradients = network.class_gradients(x[:64])
+        assert len(pickle.dumps(network)) <= fresh + 4096
+        restored = pickle.loads(pickle.dumps(network))
+        assert restored.predict_proba(x).tobytes() == expected.tobytes()
+        assert restored.class_gradients(x[:64]).tobytes() == gradients.tobytes()
+        assert network.predict_proba(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu", "sigmoid", "tanh"])
+    def test_every_cache_is_left_out_and_dropout_keeps_its_stream(self, activation):
+        network = NeuralNetwork.mlp([12, 32, 2], activation=activation, dropout=0.5,
+                                    random_state=1)
+        fresh = len(pickle.dumps(network))
+        x = np.random.default_rng(1).random((500, 12))
+        network.forward(x, training=True)
+        assert len(pickle.dumps(network)) <= fresh + 1024
+        restored = pickle.loads(pickle.dumps(network))
+        assert (restored.forward(x, training=True).tobytes()
+                == network.forward(x, training=True).tobytes())
