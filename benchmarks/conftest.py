@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,37 @@ def save_rendering(results_dir: Path, name: str, rendered: str,
     if timed and not writes_measurements():
         return
     (results_dir / f"{name}.txt").write_text(rendered + "\n", encoding="utf-8")
+
+
+def timed(func, number: int = 1):
+    """A run of ``func`` for :func:`abba_best`: each call of the returned
+    callable runs ``func`` ``number`` times and returns ``(seconds per
+    call, last result)``."""
+    def run():
+        start = time.perf_counter()
+        for _ in range(number):
+            result = func()
+        return (time.perf_counter() - start) / number, result
+    return run
+
+
+def abba_best(run_a, run_b, blocks: int = 3):
+    """The fastest run of each side of a timing gate, timed in ABBA blocks.
+
+    ``run_a`` and ``run_b`` each return a tuple whose first item is the
+    run's seconds.  Every block runs a, b, b, a, so drift on the box (a
+    slow stretch, BLAS warming up) reaches both sides alike; timing one
+    side's repeats after the other's hands all of it to one side.
+    Returns the ``(a, b)`` runs with the fewest seconds, ``2 * blocks``
+    runs per side.
+    """
+    best = [None, None]
+    for _ in range(blocks):
+        for side, run in ((0, run_a), (1, run_b), (1, run_b), (0, run_a)):
+            result = run()
+            if best[side] is None or result[0] < best[side][0]:
+                best[side] = result
+    return best[0], best[1]
 
 
 def run_once(benchmark, func):

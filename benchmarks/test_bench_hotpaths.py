@@ -11,7 +11,8 @@ measure the primitives every experiment reduces to:
 * one training epoch of the Table IV substitute;
 * an :class:`ExperimentContext` build with a cold vs. warm artifact cache.
 
-Measured numbers (seconds, best of several repeats) are appended to
+Measured numbers (seconds, best of several repeats; the two sides of a
+ratio gate are timed in ABBA blocks) are appended to
 ``BENCH_hotpaths.json`` at the repository root so the speedups are recorded
 evidence, not assertions alone.
 """
@@ -23,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import BENCH_SEED, BenchJson
+from conftest import BENCH_SEED, BenchJson, abba_best, timed
 
 from repro.attacks.constraints import PerturbationConstraints
 from repro.attacks.jsma import JsmaAttack
@@ -66,8 +67,11 @@ def hot_batch(bench_scale, hot_network):
 
 def test_bench_class_gradients_fused(hot_network, hot_batch):
     """The fused binary Jacobian beats the per-class backward loop."""
-    fused = best_of(lambda: hot_network.class_gradients(hot_batch))
-    loop = best_of(lambda: hot_network.class_gradients(hot_batch, fused=False))
+    (fused, _), (loop, _) = abba_best(
+        timed(lambda: hot_network.class_gradients(hot_batch), number=3),
+        timed(lambda: hot_network.class_gradients(hot_batch, fused=False),
+              number=3),
+        blocks=4)
     speedup = loop / fused
     BENCH.record("class_gradients", fused_s=fused, per_class_loop_s=loop,
                  speedup=speedup, batch=hot_batch.shape[0])
@@ -93,8 +97,9 @@ def test_bench_jsma_step(hot_network, hot_batch):
         hot_network.class_gradients(hot_batch, fused=False)
         hot_network.predict(hot_batch)
 
-    current = best_of(current_step)
-    seed = best_of(seed_equivalent_step)
+    (current, _), (seed, _) = abba_best(timed(current_step, number=3),
+                                        timed(seed_equivalent_step, number=3),
+                                        blocks=4)
     speedup = seed / current
     BENCH.record("jsma_step", current_s=current, seed_equivalent_s=seed,
                  speedup=speedup, batch=hot_batch.shape[0])

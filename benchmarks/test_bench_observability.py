@@ -42,7 +42,8 @@ from conftest import BENCH_SEED, BenchJson
 
 from repro.obs import Instrumentation, ListSink, SpanCollector
 from repro.parallel import WorkerFleet
-from repro.serving import LoadGenerator, ModelRegistry, ScoringService, TrafficMix
+from repro.serving import (LoadGenerator, ModelRegistry, ScoringService,
+                           ThroughputReport, TrafficMix)
 
 BENCH = BenchJson("observability")
 
@@ -109,7 +110,7 @@ def _replay_once(servable, requests, make_obs):
     verdicts.extend(service.drain())
     wall = time.perf_counter() - wall_start
     cpu = time.process_time() - cpu_start
-    return cpu, verdicts, service.report(wall), obs
+    return cpu, verdicts, ThroughputReport.from_verdicts(verdicts, wall), obs
 
 
 def _abba_blocks(run_plain, armed, blocks: int = BLOCKS):

@@ -22,9 +22,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import BENCH_SEED, BenchJson
+from conftest import BENCH_SEED, BenchJson, abba_best
 
-from repro.serving import LoadGenerator, ModelRegistry, ScoringService, TrafficMix
+from repro.serving import (LoadGenerator, ModelRegistry, ScoringService,
+                           ThroughputReport, TrafficMix)
 
 BENCH = BenchJson("serving")
 
@@ -78,7 +79,7 @@ def _replay_single(servable, requests):
     start = time.perf_counter()
     verdicts = [service.score(request) for request in requests]
     elapsed = time.perf_counter() - start
-    return elapsed, verdicts, service.report(elapsed)
+    return elapsed, verdicts, ThroughputReport.from_verdicts(verdicts, elapsed)
 
 
 def _replay_batched(servable, requests):
@@ -90,27 +91,15 @@ def _replay_batched(servable, requests):
         verdicts.extend(service.submit(request))
     verdicts.extend(service.drain())
     elapsed = time.perf_counter() - start
-    return elapsed, verdicts, service.report(elapsed)
-
-
-def _measure_both(servable, requests, blocks: int = 3):
-    """Best-of replays of each path, run in ABBA blocks (single, batched,
-    batched, single), so drift on the box reaches both sides alike.
-    Returns the (single, batched) best runs."""
-    best = {}
-    for _ in range(blocks):
-        for replay in (_replay_single, _replay_batched, _replay_batched, _replay_single):
-            run = replay(servable, requests)
-            if replay not in best or run[0] < best[replay][0]:
-                best[replay] = run
-    return best[_replay_single], best[_replay_batched]
+    return elapsed, verdicts, ThroughputReport.from_verdicts(verdicts, elapsed)
 
 
 def test_bench_batched_vs_single_feature_path(servable, feature_requests):
     """Micro-batching wins ≥ 5× on the pure scoring path (small profile)."""
     (single_s, single_verdicts, single_report), \
-        (batched_s, batched_verdicts, batched_report) = _measure_both(
-            servable, feature_requests)
+        (batched_s, batched_verdicts, batched_report) = abba_best(
+            lambda: _replay_single(servable, feature_requests),
+            lambda: _replay_batched(servable, feature_requests))
     assert [v.label for v in batched_verdicts] == \
            [v.label for v in single_verdicts]
 
@@ -134,8 +123,9 @@ def test_bench_batched_vs_single_feature_path(servable, feature_requests):
 def test_bench_batched_vs_single_log_path(servable, log_requests):
     """End-to-end log scoring also gains from batching (featurisation rides
     along in both paths, so the ratio is smaller than the pure engine win)."""
-    (single_s, _, single_report), (batched_s, _, batched_report) = _measure_both(
-        servable, log_requests)
+    (single_s, _, single_report), (batched_s, _, batched_report) = abba_best(
+        lambda: _replay_single(servable, log_requests),
+        lambda: _replay_batched(servable, log_requests))
     speedup = single_s / batched_s
     BENCH.record("serving_log_path",
                  n_requests=len(log_requests), batch_size=BATCH_SIZE,

@@ -27,7 +27,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import BenchJson, save_rendering
+from conftest import BenchJson, abba_best, save_rendering, timed
 
 from repro.attacks.constraints import PerturbationConstraints
 from repro.attacks.jsma import JsmaAttack
@@ -107,13 +107,14 @@ def test_bench_gamma_replay_whitebox(sweep_inputs, results_dir):
     def factory(constraints):
         return JsmaAttack(target, constraints=constraints)
 
-    # The >= 3x gate below is a hard CI assert: take the best of five runs
-    # for both sides so scheduler noise cannot fake a regression.
-    replay_s, replayed = best_of(lambda: gamma_sweep(
-        factory, malware, models, theta=0.1, gamma_values=grid,
-        strategy="replay"), repeats=5)
-    seed_s, seed_curve = best_of(lambda: _seed_equivalent_gamma_sweep(
-        factory, malware, models, theta=0.1, gamma_values=grid), repeats=5)
+    # The >= 3x gate below is a hard CI assert: take the best of six runs
+    # per side, timed in ABBA blocks, so scheduler noise and drift cannot
+    # fake a regression.
+    (replay_s, replayed), (seed_s, seed_curve) = abba_best(
+        timed(lambda: gamma_sweep(factory, malware, models, theta=0.1,
+                                  gamma_values=grid, strategy="replay")),
+        timed(lambda: _seed_equivalent_gamma_sweep(
+            factory, malware, models, theta=0.1, gamma_values=grid)))
     fused_s, fused_curve = best_of(lambda: gamma_sweep(
         factory, malware, models, theta=0.1, gamma_values=grid,
         strategy="per_point"))

@@ -27,6 +27,7 @@ from repro.serving import (
     LoadGenerator,
     ModelRegistry,
     ScoringService,
+    ThroughputReport,
     TrafficMix,
     replay,
 )
@@ -51,12 +52,13 @@ def main() -> None:
     verdict = service.score(first_log)
     print(f"== single verdict: {verdict.as_dict()}")
 
-    # 3. Replay the stream through the micro-batcher.
-    service.reset_stats()                  # report the replay alone
+    # 3. Replay the stream through the micro-batcher; the report reads the
+    #    latencies the replay's verdicts carry.
     start = time.perf_counter()
     verdicts = replay(service, requests)
     elapsed = time.perf_counter() - start
-    print(f"== {service.n_batches} fused batches; {service.report(elapsed).render()}")
+    report = ThroughputReport.from_verdicts(verdicts, elapsed)
+    print(f"== {service.n_batches} fused batches; {report.render()}")
 
     # 4. A defended endpoint over the same bundle.
     squeezed = FeatureSqueezingDefense().fit(servable.model.network,

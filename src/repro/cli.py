@@ -539,7 +539,7 @@ def _generate_requests(generator, n_requests: int, obs):
         return generator.generate(n_requests)
 
 
-def _record_serve_run(args, verdicts, servable, throughput, obs) -> list:
+def _record_serve_run(args, verdicts, servable, throughput, snapshot) -> list:
     """Record the replayed run into ``--store`` (no-op without the flag)."""
     if args.store is None:
         return []
@@ -550,14 +550,19 @@ def _record_serve_run(args, verdicts, servable, throughput, obs) -> list:
         AnalyticsStore(args.store), run_id, verdicts,
         model_version=servable.version,
         scenario=f"serve:{args.model}/{args.defense}",
-        throughput=throughput,
-        obs_snapshot=obs if isinstance(obs, dict)
-        else (obs.snapshot() if obs is not None else None))
+        throughput=throughput, obs_snapshot=snapshot)
     return [f"recorded run {run_id} → {args.store}"]
 
 
 def _cmd_serve(args) -> int:
-    from repro.serving import LoadGenerator, ModelRegistry, ScoringService, TrafficMix, replay
+    from repro.serving import (
+        LoadGenerator,
+        ModelRegistry,
+        ScoringService,
+        ThroughputReport,
+        TrafficMix,
+        replay,
+    )
 
     cache = _cache_from(args.cache_dir)
     context = ExperimentContext(scale=get_profile(args.scale), seed=args.seed,
@@ -579,95 +584,79 @@ def _cmd_serve(args) -> int:
         # multi-thousand-request replay keeps every root reachable.
         obs = Instrumentation(sink=ListSink(max_events=32768))
     slo_specs = _slo_specs(args)
+    # The ScoringService keywords both execution modes share.
+    options = dict(threshold=args.threshold, max_batch_size=args.batch_size,
+                   max_delay_ms=args.max_delay_ms, retry_policy=retry_policy,
+                   slo_specs=slo_specs)
+    # The endpoint as configured: an SLO fallback during the replay shows
+    # in the reliability counters, not here.
+    endpoint = (f"endpoint: defense={DEFENSES.get(args.defense).entry_id} "
+                f"threshold={args.threshold} batch_size={args.batch_size} "
+                f"max_delay_ms={args.max_delay_ms}")
 
     if args.workers != 1:
         from repro.parallel import WorkerFleet
 
         fleet = WorkerFleet(n_workers=args.workers, model=args.model,
-                            defense=args.defense, threshold=args.threshold,
-                            context=context,
-                            max_batch_size=args.batch_size,
-                            max_delay_ms=args.max_delay_ms,
+                            defense=args.defense, context=context,
                             restart_budget=args.restart_budget,
-                            fault_plan=plan, retry_policy=retry_policy,
-                            instrumentation=obs,
-                            slo_specs=slo_specs or None)
+                            fault_plan=plan, instrumentation=obs, **options)
         requests = _generate_requests(generator, args.requests, obs)
         publisher = _live_publisher(args, obs, slo_specs)
         verdicts, fleet_report = fleet.score_stream(requests,
                                                     rate_per_s=args.rate,
                                                     seed=args.seed,
                                                     progress=publisher)
-        if publisher is not None:
-            publisher.finish(fleet_report.obs)
-        endpoint = (f"endpoint: defense={args.defense} "
-                    f"threshold={args.threshold} batch_size={args.batch_size} "
-                    f"max_delay_ms={args.max_delay_ms} "
-                    f"workers={fleet.n_workers}")
-        lines = _serve_summary_lines(args, fleet.servable, verdicts, endpoint)
-        lines.append(fleet_report.render())
-        if fleet_report.obs is not None:
-            lines.extend(_obs_summary_lines(fleet_report.obs))
-            lines.extend(_trace_summary_lines(args, fleet_report.obs))
-        lines.extend(_record_serve_run(args, verdicts, fleet.servable,
-                                       fleet_report.throughput,
-                                       fleet_report.obs))
-        _emit("serve", "\n".join(lines), args.out)
-        return 0
+        servable = fleet.servable
+        endpoint += f" workers={fleet.n_workers}"
+        scored_suffix = ""
+        throughput = fleet_report.throughput
+        summary = [fleet_report.render()]
+        snapshot = fleet_report.obs
+    else:
+        servable = ModelRegistry(cache=cache).get(args.model, context=context)
+        detector = build_endpoint(args.defense, context, model=servable.model)
+        injector = (plan.injector(scope={"worker": 0})
+                    if plan is not None else None)
+        service = ScoringService(servable, detector,
+                                 isolate_poison=plan is not None,
+                                 injector=injector, instrumentation=obs,
+                                 **options)
+        requests = _generate_requests(generator, args.requests, obs)
+        stamper = None
+        if obs is not None:
+            from repro.obs import TraceStamper
 
-    servable = ModelRegistry(cache=cache).get(args.model, context=context)
-    detector = build_endpoint(args.defense, context, model=servable.model)
-    injector = (plan.injector(scope={"worker": 0})
-                if plan is not None else None)
-    slo = None
-    if slo_specs:
-        from repro.obs import SLOMonitor
+            # Single-process path: stamp trace contexts here, where the
+            # fleet dispatcher would; root durations fall back to verdict
+            # latency.
+            stamper = TraceStamper(obs)
+            requests = [stamper.stamp(request) for request in requests]
+        publisher = _live_publisher(args, obs, slo_specs, stamper=stamper)
+        start = time.perf_counter()
+        verdicts = replay(service, requests, rate_per_s=args.rate,
+                          seed=args.seed, progress=publisher)
+        elapsed = time.perf_counter() - start
+        if stamper is not None:
+            stamper.finish_all(verdicts)
+        scored_suffix = f" in {service.n_batches} fused batches"
+        throughput = ThroughputReport.from_verdicts(verdicts, elapsed)
+        summary = [throughput.render()]
+        reliability = service.reliability
+        if not reliability.empty():
+            summary.append(reliability.render())
+        snapshot = obs.snapshot() if obs is not None else None
 
-        slo = SLOMonitor(slo_specs, instrumentation=obs)
-    service = ScoringService(servable, detector=detector, threshold=args.threshold,
-                             max_batch_size=args.batch_size,
-                             max_delay_ms=args.max_delay_ms,
-                             retry_policy=retry_policy,
-                             isolate_poison=plan is not None,
-                             injector=injector,
-                             instrumentation=obs,
-                             slo=slo)
-    requests = _generate_requests(generator, args.requests, obs)
-    stamper = None
-    if obs is not None:
-        from repro.obs import TraceStamper
-
-        # Single-process path: stamp trace contexts here, where the fleet
-        # dispatcher would; root durations fall back to verdict latency.
-        stamper = TraceStamper(obs)
-        requests = [stamper.stamp(request) for request in requests]
-    publisher = _live_publisher(args, obs, slo_specs, stamper=stamper)
-
-    start = time.perf_counter()
-    verdicts = replay(service, requests, rate_per_s=args.rate, seed=args.seed,
-                      progress=publisher)
-    elapsed = time.perf_counter() - start
-    if stamper is not None:
-        stamper.finish_all(verdicts)
     if publisher is not None:
-        publisher.finish(obs.snapshot() if obs is not None else None)
-    report = service.report(elapsed)
-
-    endpoint = (f"endpoint: defense={service.defense_name or 'none'} "
-                f"threshold={service.threshold} batch_size={service.max_batch_size} "
-                f"max_delay_ms={service.max_delay_ms}")
+        publisher.finish(snapshot)
     lines = _serve_summary_lines(args, servable, verdicts, endpoint,
-                                 scored_suffix=f" in {service.n_batches} "
-                                               f"fused batches")
-    lines.append(report.render())
-    reliability = service.reliability
-    if not reliability.empty():
-        lines.append(reliability.render())
-    if obs is not None:
-        snapshot = obs.snapshot()
+                                 scored_suffix=scored_suffix)
+    lines.extend(summary)
+    if snapshot is not None:
         lines.extend(_obs_summary_lines(snapshot))
         lines.extend(_trace_summary_lines(args, snapshot))
-    lines.extend(_record_serve_run(args, verdicts, servable, report, obs))
+    lines.extend(_record_serve_run(args, verdicts, servable, throughput,
+                                   snapshot))
     _emit("serve", "\n".join(lines), args.out)
     return 0
 

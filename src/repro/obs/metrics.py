@@ -12,8 +12,8 @@ boilerplate::
 Histograms keep O(1) summary state (count / sum / min / max), not samples —
 a minutes-long soak observes millions of values and the registry must not
 grow with them.  Full distributions belong in the analytics store; exact
-request-latency quantiles come from a
-:class:`~repro.serving.stats.LatencyTracker`.
+request-latency quantiles come from the verdicts themselves, through
+:meth:`~repro.serving.stats.ThroughputReport.from_verdicts`.
 
 Snapshots are plain nested dicts, and :meth:`MetricsRegistry.merge_snapshot`
 folds one registry's snapshot into another associatively — that is how a

@@ -21,7 +21,7 @@ spec is breached the monitor reports it *active*, and the serving layer
 can arm degradation on that state — ``should_shed`` / ``wants_fallback``
 plug into :class:`~repro.serving.service.ScoringService` so load shedding
 reacts to measured burn, not only breaker trips (see the service's
-``slo`` parameter).
+``slo_specs`` parameter).
 
 Windows are rings of per-bucket good/bad counts — O(1) memory and O(1)
 amortised per observation regardless of request rate, following the same

@@ -55,7 +55,7 @@ import numpy as np
 from repro.exceptions import ParallelError
 from repro.experiments.context import ExperimentContext
 from repro.obs import Instrumentation, ListSink
-from repro.obs.slo import SLOMonitor, SLOSpec
+from repro.obs.slo import SLOSpec
 from repro.obs.spans import TraceStamper
 from repro.parallel.pool import (
     RemoteFailure,
@@ -63,14 +63,13 @@ from repro.parallel.pool import (
     resolve_workers,
 )
 from repro.reliability import (
-    FaultInjector,
     FaultPlan,
     ReliabilityReport,
     RetryPolicy,
     WorkerCrash,
     maybe_fire,
 )
-from repro.serving.stats import LatencyTracker, ThroughputReport
+from repro.serving.stats import ThroughputReport
 
 __all__ = ["WorkerFleet", "FleetReport"]
 
@@ -85,26 +84,6 @@ _WEDGED_AFTER_S = 300.0
 _WORKER_OBS_EVENT_CAP = 4096
 
 
-def _build_service(servable, detector, options: Mapping[str, object],
-                   injector: Optional[FaultInjector],
-                   instrumentation: Instrumentation):
-    """One replica's ScoringService around the dispatcher-built bundle."""
-    from repro.serving.service import ScoringService
-
-    slo_specs = options["slo_specs"]
-    return ScoringService(
-        servable, detector=detector, threshold=options["threshold"],
-        max_batch_size=options["max_batch_size"],
-        max_delay_ms=options["max_delay_ms"],
-        retry_policy=options["retry_policy"],
-        # A poison request must cost one error verdict, not one replica.
-        isolate_poison=True,
-        injector=injector,
-        instrumentation=instrumentation,
-        slo=(SLOMonitor(slo_specs, instrumentation=instrumentation)
-             if slo_specs else None))
-
-
 def _n_batches(snapshot: Mapping[str, object]) -> int:
     """Fused batches a replica scored, read from its shipped snapshot."""
     histogram = snapshot["metrics"]["histograms"].get("batcher.batch_size")
@@ -112,13 +91,16 @@ def _n_batches(snapshot: Mapping[str, object]) -> int:
 
 
 def _fleet_worker(worker_id: int, servable, detector,
-                  options: Mapping[str, object],
+                  service_kwargs: Mapping[str, object],
+                  fault_plan: Optional[FaultPlan], observe: bool,
                   task_queue, result_queue) -> None:
     """One replica: pull requests, micro-batch them, ship verdicts back.
 
-    ``servable`` and ``detector`` are the dispatcher's built bundle and
-    ``options`` the service settings, fault plan, SLO specs and observe
-    flag, all received as process arguments (see :meth:`WorkerFleet.start`).
+    ``servable`` and ``detector`` are the dispatcher's built bundle,
+    ``service_kwargs`` the :class:`~repro.serving.service.ScoringService`
+    keyword arguments every replica shares, and ``fault_plan`` / ``observe``
+    what this replica arms around its service, all received as process
+    arguments (see :meth:`WorkerFleet.start`).
     Protocol on ``result_queue``: ``("ready", id, None)`` after startup,
     ``("claim", id, seq)`` the moment a request is pulled off the dispatch
     queue, ``("verdicts", id, [(seq, Verdict), ...])`` per flush,
@@ -131,7 +113,8 @@ def _fleet_worker(worker_id: int, servable, detector,
     """
     from dataclasses import replace as dataclass_replace
 
-    fault_plan = options["fault_plan"]
+    from repro.serving.service import ScoringService
+
     injector = (fault_plan.injector(scope={"worker": worker_id})
                 if fault_plan is not None else None)
     # Every replica counts into its own registry and ships the snapshot
@@ -143,10 +126,13 @@ def _fleet_worker(worker_id: int, servable, detector,
     # replica's in a stitched trace.
     obs = Instrumentation(
         sink=(ListSink(max_events=_WORKER_OBS_EVENT_CAP)
-              if options["observe"] else None),
+              if observe else None),
         tags={"worker": worker_id}, namespace=worker_id + 1)
     try:
-        service = _build_service(servable, detector, options, injector, obs)
+        # A poison request must cost one error verdict, not one replica.
+        service = ScoringService(servable, detector, isolate_poison=True,
+                                 injector=injector, instrumentation=obs,
+                                 **service_kwargs)
     except BaseException as error:  # noqa: BLE001 - shipped to the dispatcher
         result_queue.put(("failed", worker_id,
                           RemoteFailure.capture(f"worker {worker_id} startup",
@@ -330,27 +316,27 @@ class WorkerFleet:
         self.n_workers = resolve_workers(n_workers)
         self.model = model
         self.defense = defense
-        self.threshold = float(threshold)
         self.context = context if context is not None else ExperimentContext()
-        self.max_batch_size = int(max_batch_size)
-        self.max_delay_ms = float(max_delay_ms)
         self.start_method = resolve_start_method(start_method)
         if restart_budget < 0:
             raise ParallelError(
                 f"restart_budget must be >= 0, got {restart_budget}")
         self.restart_budget = int(restart_budget)
         self.fault_plan = fault_plan
-        self.retry_policy = retry_policy
         self.instrumentation = instrumentation
         if trace_sample_every < 1:
             raise ParallelError(
                 f"trace_sample_every must be >= 1, got {trace_sample_every}")
         self.trace_sample_every = int(trace_sample_every)
-        self.slo_specs = tuple(slo_specs or ())
+        #: What every replica passes to its ScoringService, by the
+        #: service's own parameter names.
+        self.service_kwargs: Dict[str, object] = {
+            "threshold": threshold, "max_batch_size": max_batch_size,
+            "max_delay_ms": max_delay_ms, "retry_policy": retry_policy,
+            "slo_specs": tuple(slo_specs or ())}
         self.servable = None
         self._detector = None
         self._mp_context = None
-        self._options: Optional[Dict[str, object]] = None
         self._next_worker_id = 0
         self._processes: Dict[int, object] = {}
         self._task_queue = None
@@ -365,7 +351,9 @@ class WorkerFleet:
         self._next_worker_id += 1
         process = self._mp_context.Process(
             target=_fleet_worker,
-            args=(worker_id, self.servable, self._detector, self._options,
+            args=(worker_id, self.servable, self._detector,
+                  self.service_kwargs, self.fault_plan,
+                  self.instrumentation is not None,
                   self._task_queue, self._result_queue),
             daemon=True)
         process.start()
@@ -386,15 +374,6 @@ class WorkerFleet:
         self.servable = registry.get(self.model, context=self.context)
         self._detector = build_endpoint(self.defense, self.context,
                                         model=self.servable.model)
-        self._options = {
-            "threshold": self.threshold,
-            "max_batch_size": self.max_batch_size,
-            "max_delay_ms": self.max_delay_ms,
-            "retry_policy": self.retry_policy,
-            "fault_plan": self.fault_plan,
-            "slo_specs": self.slo_specs,
-            "observe": self.instrumentation is not None,
-        }
         self._task_queue = self._mp_context.Queue()
         self._result_queue = self._mp_context.Queue()
         for _ in range(self.n_workers):
@@ -531,11 +510,11 @@ class WorkerFleet:
         verdicts: Dict[int, object] = {}
         claims: Dict[int, Set[int]] = {worker_id: set()
                                        for worker_id in self._processes}
-        # Latencies of the scored verdicts each replica delivered, and the
-        # fused batches it reported: every replica launched for this stream
-        # is listed, including one that died after delivering.
-        scored: Dict[int, List[float]] = {worker_id: []
-                                          for worker_id in self._processes}
+        # The verdicts each replica delivered, and the fused batches it
+        # reported: every replica launched for this stream is listed,
+        # including one that died after delivering.
+        delivered: Dict[int, List] = {worker_id: []
+                                      for worker_id in self._processes}
         n_batches: Dict[int, int] = {}
         restarts_remaining = self.restart_budget
         n_expected = len(requests)
@@ -558,7 +537,7 @@ class WorkerFleet:
                 obs.count("fleet.restarts", worker=worker_id)
                 replacement = self._spawn_worker()
                 claims[replacement] = set()
-                scored[replacement] = []
+                delivered[replacement] = []
             if not self._processes:
                 self.close()
                 raise ParallelError(
@@ -609,7 +588,6 @@ class WorkerFleet:
                 claims.setdefault(worker_id, set()).add(payload)
             elif kind == "verdicts":
                 owned = claims.setdefault(worker_id, set())
-                latencies = scored.setdefault(worker_id, [])
                 fresh = []
                 for seq, verdict in payload:
                     owned.discard(seq)
@@ -618,8 +596,7 @@ class WorkerFleet:
                         continue
                     verdicts[seq] = verdict
                     fresh.append(verdict)
-                    if verdict.is_scored:
-                        latencies.append(verdict.latency_ms)
+                delivered.setdefault(worker_id, []).extend(fresh)
                 if stamper is not None:
                     stamper.finish_all(fresh)
                 if fresh:
@@ -653,25 +630,24 @@ class WorkerFleet:
                 payload.raise_()
         self.close()  # workers have already exited on the sentinel; reap them
 
-        tracker = LatencyTracker()
+        merged = [verdicts[seq] for seq in range(n_expected)]
         per_worker = []
-        for worker_id, latencies in sorted(scored.items()):
-            for latency_ms in latencies:
-                tracker.record(latency_ms)
+        for worker_id, worker_verdicts in sorted(delivered.items()):
+            worker = ThroughputReport.from_verdicts(worker_verdicts, elapsed)
             per_worker.append({
                 "worker_id": worker_id,
-                "n_requests": len(latencies),
+                "n_requests": worker.n_requests,
                 "n_batches": n_batches.get(worker_id, 0),
-                "mean_ms": (float(sum(latencies) / len(latencies))
-                            if latencies else 0.0),
+                "mean_ms": worker.mean_ms,
             })
         report = FleetReport(
             n_workers=self.n_workers, start_method=self.start_method,
-            throughput=tracker.report(elapsed), per_worker=per_worker,
+            throughput=ThroughputReport.from_verdicts(merged, elapsed),
+            per_worker=per_worker,
             reliability=ReliabilityReport.from_snapshot(obs.metrics.snapshot(),
                                                         since=since),
             obs=obs.snapshot() if observe else None)
-        return [verdicts[seq] for seq in range(n_expected)], report
+        return merged, report
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"WorkerFleet(n_workers={self.n_workers}, model={self.model!r}, "

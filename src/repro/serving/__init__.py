@@ -13,7 +13,8 @@ Table VI defense) into a reusable online scoring service:
   ``predict_proba`` call per batch;
 * :mod:`repro.serving.loadgen` — deterministic mixed
   clean/malware/adversarial traffic for load tests;
-* :mod:`repro.serving.stats` — latency quantiles and throughput reports.
+* :mod:`repro.serving.stats` — throughput reports with latency quantiles,
+  built from the verdicts of an interval.
 
 Quickstart::
 
@@ -36,7 +37,7 @@ from repro.serving.registry import (
     bundle_version,
 )
 from repro.serving.service import ScoringRequest, ScoringService, Verdict
-from repro.serving.stats import LatencyTracker, ThroughputReport, percentile
+from repro.serving.stats import ThroughputReport, percentile
 
 __all__ = [
     # registry
@@ -46,5 +47,5 @@ __all__ = [
     # load generation
     "LoadGenerator", "TrafficMix", "TRAFFIC_KINDS", "replay",
     # statistics
-    "LatencyTracker", "ThroughputReport", "percentile",
+    "ThroughputReport", "percentile",
 ]

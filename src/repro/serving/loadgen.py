@@ -172,47 +172,36 @@ def _poisson_offsets(n_requests: int, rate_per_s: float, seed: int) -> np.ndarra
 
 def replay(service: ScoringService, requests: Sequence[ScoringRequest],
            rate_per_s: Optional[float] = None,
-           arrival_times: Optional[Sequence[float]] = None,
            seed: int = 0,
-           sleep: Callable[[float], None] = time.sleep,
-           now: Callable[[], float] = time.perf_counter,
            progress: Optional[Callable[[dict], None]] = None) -> List[Verdict]:
     """Replay a request stream through the service's micro-batcher.
 
     With ``rate_per_s`` (arrivals sampled like
-    :meth:`LoadGenerator.arrival_times`, varied by ``seed``) or explicit
-    ``arrival_times``, the stream is paced like a Poisson arrival process —
-    the service's latency numbers then include genuine queueing delay, and
-    the pacing loop wakes up early whenever the service's flush deadline
-    falls before the next arrival, so ``max_delay_ms`` is honoured even at
-    request rates slower than the SLO.  Otherwise requests are pushed
-    back-to-back as fast as the service accepts them.  ``now`` must be the
-    same time source as the service's ``clock``.  Returns verdicts in
-    completion order (one per request).
+    :meth:`LoadGenerator.arrival_times`, varied by ``seed``) the stream is
+    paced like a Poisson arrival process — the service's latency numbers
+    then include genuine queueing delay, and the pacing loop wakes up early
+    whenever the service's flush deadline falls before the next arrival, so
+    ``max_delay_ms`` is honoured even at request rates slower than the SLO.
+    Otherwise requests are pushed back-to-back as fast as the service
+    accepts them.  Pacing reads ``time.perf_counter``, the service's
+    default clock.  Returns verdicts in completion order (one per request).
 
     ``progress``, if given, is called after every flush that produced
     verdicts with ``{"new_verdicts": [...], "n_done": int,
     "n_expected": int, "elapsed_s": float}`` — the same shape the fleet
     dispatcher reports, so one live-dashboard publisher serves both paths.
     """
-    offsets: Optional[np.ndarray] = None
-    if arrival_times is not None:
-        offsets = np.asarray(arrival_times, dtype=np.float64)
-        if offsets.shape[0] != len(requests):
-            raise ServingError(
-                f"{len(requests)} requests but {offsets.shape[0]} arrival times")
-    elif rate_per_s is not None:
-        offsets = _poisson_offsets(len(requests), rate_per_s, seed)
-
+    offsets = (_poisson_offsets(len(requests), rate_per_s, seed)
+               if rate_per_s is not None else None)
     verdicts: List[Verdict] = []
-    start = now()
+    start = time.perf_counter()
 
     def collect(fresh: List[Verdict]) -> None:
         verdicts.extend(fresh)
         if progress is not None and fresh:
             progress({"new_verdicts": fresh, "n_done": len(verdicts),
                       "n_expected": len(requests),
-                      "elapsed_s": now() - start})
+                      "elapsed_s": time.perf_counter() - start})
 
     for index, request in enumerate(requests):
         if offsets is not None:
@@ -220,9 +209,9 @@ def replay(service: ScoringService, requests: Sequence[ScoringRequest],
             while True:
                 deadline = service.deadline
                 wake = arrival if deadline is None else min(arrival, deadline)
-                remaining = wake - now()
+                remaining = wake - time.perf_counter()
                 if remaining > 0:
-                    sleep(remaining)
+                    time.sleep(remaining)
                 collect(service.poll())
                 if wake >= arrival:
                     break

@@ -14,9 +14,10 @@ Two endpoint flavours coexist over the same bundle:
   (feature squeezing, ensemble, ...) wraps the decision, exactly as the
   Table VI evaluation consumes them.
 
-Per-request latencies accumulate in a
-:class:`~repro.serving.stats.LatencyTracker` so the ``serve`` CLI and the
-benchmark harness report p50/p95/throughput from real observations.
+Every verdict carries its own measured ``latency_ms``; the ``serve`` CLI
+and the benchmark harness report p50/p95/throughput from the verdicts they
+collected, through
+:meth:`~repro.serving.stats.ThroughputReport.from_verdicts`.
 
 Reliability hooks (all optional, all off by default):
 
@@ -28,15 +29,17 @@ Reliability hooks (all optional, all off by default):
 * ``isolate_poison`` arms the micro-batcher's bisection path so a single
   poison request becomes a ``Verdict(status="error")`` instead of wedging
   the batch;
-* ``fallback_after`` demotes a repeatedly-failing defended endpoint to the
-  undefended fast path (verdicts then carry ``defense=None``);
+* ``slo_specs`` arm an :class:`~repro.obs.slo.SLOMonitor` fed by every
+  flush; a breached ``on_breach="shed"`` spec sheds arriving requests and
+  a breached ``on_breach="fallback"`` spec demotes a defended endpoint to
+  the undefended fast path (verdicts then carry ``defense=None``);
 * every such event is counted once, in the metrics registry of the
   service's :class:`~repro.obs.Instrumentation`;
   :attr:`ScoringService.reliability` is the summary of those counters the
   chaos benchmark asserts against.
 
-Shed and error verdicts carry ``label=-1`` and are *not* recorded in the
-latency tracker — throughput statistics describe scored requests only.
+Shed and error verdicts carry ``label=-1`` and are left out of throughput
+reports — those describe scored requests only.
 """
 
 from __future__ import annotations
@@ -55,12 +58,12 @@ from repro.defenses.base import DefendedDetector
 from repro.exceptions import ServingError
 from repro.features.extraction import CountSource
 from repro.obs.instrument import Instrumentation
+from repro.obs.slo import SLOMonitor, SLOSpec
 from repro.obs.trace import TraceContext
 from repro.reliability import (CircuitBreaker, FaultInjector, ReliabilityReport,
                                RetryPolicy, maybe_fire)
 from repro.serving.batcher import MicroBatcher
 from repro.serving.registry import ServableModel
-from repro.serving.stats import LatencyTracker, ThroughputReport
 
 #: What a scoring request may carry: a log, a count mapping, or a feature row.
 RequestPayload = Union[ApiLog, Mapping[str, int], np.ndarray]
@@ -160,10 +163,6 @@ class ScoringService:
         Arm the micro-batcher's bisection path: a request whose flush keeps
         failing is answered with ``Verdict(status="error")`` instead of the
         default restore-and-raise.
-    fallback_after:
-        After this many *consecutive* defended-decision failures the
-        service permanently falls back to the undefended fast path
-        (``None`` disables fallback).
     injector:
         Optional :class:`~repro.reliability.faults.FaultInjector`; when
         armed, each flush announces itself at the ``service.flush`` site.
@@ -180,14 +179,17 @@ class ScoringService:
         :class:`~repro.obs.trace.TraceContext` additionally get per-hop
         spans (``fleet.queue``, ``batcher.enqueue``, ``request.score``)
         recorded against their trace.
-    slo:
-        Optional :class:`~repro.obs.slo.SLOMonitor`.  Every flush feeds
+    slo_specs:
+        Optional :class:`~repro.obs.slo.SLOSpec` objectives.  When given,
+        the service builds an :class:`~repro.obs.slo.SLOMonitor` on its
+        instrumentation (alerts count and emit there); every flush feeds
         its verdict latencies in and re-evaluates the burn-rate windows
-        (on this service's ``clock``); a breached spec with
+        (on this service's ``clock``).  A breached spec with
         ``on_breach="shed"`` makes :meth:`submit` shed arriving requests
-        while the breach is active, and ``on_breach="fallback"`` demotes
-        a defended endpoint like ``fallback_after`` does — degradation
-        driven by measured burn instead of breaker trips.
+        while the breach is active, and ``on_breach="fallback"``
+        permanently demotes a defended endpoint to the undefended fast
+        path — degradation driven by measured burn instead of breaker
+        trips.
     """
 
     def __init__(self, servable: ServableModel,
@@ -198,35 +200,29 @@ class ScoringService:
                  retry_policy: Optional[RetryPolicy] = None,
                  circuit_breaker: Optional[CircuitBreaker] = None,
                  isolate_poison: bool = False,
-                 fallback_after: Optional[int] = None,
                  injector: Optional[FaultInjector] = None,
-                 retry_sleep: Callable[[float], None] = time.sleep,
-                 instrumentation=None, slo=None) -> None:
+                 instrumentation=None,
+                 slo_specs: Optional[Sequence[SLOSpec]] = None) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ServingError(f"threshold must lie in [0, 1], got {threshold}")
-        if fallback_after is not None and fallback_after < 1:
-            raise ServingError(
-                f"fallback_after must be >= 1, got {fallback_after}")
         self.servable = servable
         self.detector = detector
         self.threshold = float(threshold)
         self._clock = clock
-        self.tracker = LatencyTracker()
         self._breaker = circuit_breaker
         self._injector = injector
         self._obs = (instrumentation if instrumentation is not None
                      else Instrumentation())
-        self._slo = slo
+        self._slo = (SLOMonitor(slo_specs, instrumentation=self._obs)
+                     if slo_specs else None)
         self._trace_pickups: dict = {}
-        self._fallback_after = fallback_after
-        self._defense_failures = 0
         self._fallen_back = False
         self._batcher: MicroBatcher[Tuple[ScoringRequest, float], Verdict] = MicroBatcher(
             self._flush_items, max_batch_size=max_batch_size,
             max_delay_ms=max_delay_ms, clock=clock,
             retry_policy=retry_policy,
             error_fn=self._error_verdict if isolate_poison else None,
-            sleep=retry_sleep, instrumentation=self._obs)
+            instrumentation=self._obs)
         self._request_counter = 0
 
     # ------------------------------------------------------------------ #
@@ -376,24 +372,9 @@ class ScoringService:
     # Scoring core (one fused predict per batch)
     # ------------------------------------------------------------------ #
     def _decide(self, features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(malware probabilities, hard labels) from one fused model call.
-
-        A failing defended decision counts toward ``fallback_after``; once
-        the budget is exhausted the endpoint permanently falls back to the
-        undefended fast path (the failure still propagates so the caller's
-        retry policy re-attempts — the retry then takes the fallback path).
-        """
+        """(malware probabilities, hard labels) from one fused model call."""
         if self.detector is not None and not self._fallen_back:
-            try:
-                probabilities, labels = self.detector.decide(features)
-            except Exception:
-                self._defense_failures += 1
-                if (self._fallback_after is not None
-                        and self._defense_failures >= self._fallback_after):
-                    self._fallen_back = True
-                    self._obs.count("serve.fallbacks")
-                raise
-            self._defense_failures = 0
+            probabilities, labels = self.detector.decide(features)
         else:
             probabilities = self.servable.model.malware_confidence(features)
             labels = (probabilities > self.threshold).astype(np.int64)
@@ -412,7 +393,6 @@ class ScoringService:
         # object.__setattr__, which cost most of the batched path's
         # per-request time; filling a new instance's __dict__ with every
         # field builds the same Verdict.
-        record = self.tracker.record
         new = object.__new__
         threshold = self.threshold
         model_name = self.servable.name
@@ -423,7 +403,6 @@ class ScoringService:
                 requests, enqueued_at, probabilities.tolist(),
                 labels.astype(np.int64, copy=False).tolist()):
             latency_ms = max(0.0, (finished - started) * 1000.0)
-            record(latency_ms)
             verdict = new(Verdict)
             verdict.__dict__.update(
                 request_id=request.request_id,
@@ -489,7 +468,7 @@ class ScoringService:
 
         The monitor runs on this service's clock so window bucketing and
         verdict timing share one time base.  A breached fallback-form spec
-        demotes a defended endpoint exactly like ``fallback_after``.
+        permanently demotes a defended endpoint.
         """
         slo = self._slo
         now = self._clock()
@@ -521,7 +500,7 @@ class ScoringService:
         return verdicts, finished
 
     # ------------------------------------------------------------------ #
-    # Degraded verdicts (shed / error) — never recorded in the tracker
+    # Degraded verdicts (shed / error) — never counted as scored
     # ------------------------------------------------------------------ #
     def _degraded_verdict(self, request: ScoringRequest, started: float,
                           status: str) -> Verdict:
@@ -628,17 +607,6 @@ class ScoringService:
     def clear_pending(self) -> List[ScoringRequest]:
         """Drop the queued requests (recovery after a failing flush)."""
         return [request for request, _ in self._batcher.clear()]
-
-    # ------------------------------------------------------------------ #
-    # Statistics
-    # ------------------------------------------------------------------ #
-    def report(self, elapsed_s: float) -> ThroughputReport:
-        """Throughput/latency summary of everything scored so far."""
-        return self.tracker.report(elapsed_s)
-
-    def reset_stats(self) -> None:
-        """Forget recorded latencies (keeps the model and pending queue)."""
-        self.tracker.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ScoringService(model={self.servable.name!r}, "

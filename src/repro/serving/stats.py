@@ -2,23 +2,25 @@
 
 The serving layer reports the numbers an operator of an online detector
 actually watches: request latency quantiles (p50/p95/p99), mean and max
-latency, and sustained throughput.  :class:`LatencyTracker` accumulates
-per-request latencies as they are observed, one tracker per service;
-:class:`ThroughputReport` is the immutable summary the service, the
-``serve`` CLI command and the benchmark harness all render from.  A
-:class:`~repro.parallel.fleet.WorkerFleet` builds its report the same way,
-from the latencies carried by the verdicts its dispatcher merged.
+latency, and sustained throughput.  Every
+:class:`~repro.serving.service.Verdict` carries its own ``latency_ms``, so
+the verdicts of an interval are its one latency ledger:
+:meth:`ThroughputReport.from_verdicts` summarises them into the immutable
+report that the ``serve`` CLI command, a
+:class:`~repro.parallel.fleet.WorkerFleet` and the benchmark harness all
+render from.  Only scored verdicts count; shed and error verdicts are
+answers, not scored requests.
 
-An interval that scored nothing is still a well-defined interval: reporting
-on an empty tracker returns an all-zero report rather than raising, so
-periodic reporters and fleet aggregation never trip over an idle worker.
-The tracker keeps every observation, so percentiles are exact.
+An interval that scored nothing is still a well-defined interval: it gets
+an all-zero report rather than an error, so periodic reporters and fleet
+aggregation never trip over an idle worker.  Every latency is kept until
+the report is built, so percentiles are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -67,45 +69,25 @@ class ThroughputReport:
                    requests_per_s=0.0, mean_ms=0.0, p50_ms=0.0, p95_ms=0.0,
                    p99_ms=0.0, max_ms=0.0)
 
+    @classmethod
+    def from_verdicts(cls, verdicts: Iterable, elapsed_s: float) -> "ThroughputReport":
+        """Summarise the scored verdicts of one measured wall interval.
 
-class LatencyTracker:
-    """Accumulates per-request latencies (milliseconds) for one service.
-
-    Every observation is kept, so the quantiles a report carries are exact.
-    """
-
-    def __init__(self) -> None:
-        self._observed_ms: List[float] = []
-
-    def record(self, latency_ms: float) -> None:
-        """Record one request's end-to-end latency in milliseconds."""
-        if latency_ms < 0:
-            raise ServingError(f"latency must be non-negative, got {latency_ms}")
-        self._observed_ms.append(float(latency_ms))
-
-    @property
-    def count(self) -> int:
-        """Number of latencies recorded so far."""
-        return len(self._observed_ms)
-
-    def reset(self) -> None:
-        """Forget every recorded latency."""
-        self._observed_ms.clear()
-
-    def report(self, elapsed_s: float) -> ThroughputReport:
-        """Summarise the recorded latencies over a measured wall interval.
-
-        An empty tracker yields :meth:`ThroughputReport.empty` — a zeroed
-        report — so callers that report periodically (or a fleet replica
-        that scored nothing) need no special case.  A *non-empty* tracker
-        still requires a positive interval.
+        Only verdicts with ``is_scored`` count.  An interval without one
+        yields :meth:`empty` — a zeroed report — so a fleet replica that
+        scored nothing needs no special case; otherwise ``elapsed_s`` must
+        be positive and no latency may be negative.
         """
-        if self.count == 0:
-            return ThroughputReport.empty(elapsed_s)
+        values = np.fromiter((verdict.latency_ms for verdict in verdicts
+                              if verdict.is_scored), dtype=np.float64)
+        if values.size == 0:
+            return cls.empty(elapsed_s)
         if elapsed_s <= 0:
             raise ServingError(f"elapsed_s must be positive, got {elapsed_s}")
-        values = np.asarray(self._observed_ms, dtype=np.float64)
-        return ThroughputReport(
+        if values.min() < 0:
+            raise ServingError(
+                f"latency must be non-negative, got {values.min()}")
+        return cls(
             n_requests=int(values.size),
             elapsed_s=float(elapsed_s),
             requests_per_s=float(values.size / elapsed_s),

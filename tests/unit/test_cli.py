@@ -572,6 +572,24 @@ class TestTraceAndTopCommands:
         assert "slo alerts: 1 fired (slo.latency)" in output
         assert "serve.sheds" in output
 
+    def test_endpoint_line_names_the_configured_defense(self, capsys, tmp_path):
+        # A forced SLO breach demotes the in-process endpoint mid-replay;
+        # the endpoint line still names the defense as configured, by its
+        # registry id (not the alias as typed) in both modes, and the
+        # demotion shows in the reliability counters.
+        argv = ["serve", "--scale", "tiny", "--seed", "4",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--requests", "24", "--batch-size", "8",
+                "--mix", "0.5,0.5,0", "--defense", "squeeze",
+                "--slo-ms", "0.0001", "--slo-breach", "fallback"]
+        assert main(argv) == 0
+        single = capsys.readouterr().out
+        assert "fallbacks=1" in single
+        assert main(argv + ["--workers", "2"]) == 0
+        fleet = capsys.readouterr().out
+        for output in (single, fleet):
+            assert "endpoint: defense=feature_squeezing " in output
+
     def test_top_without_snapshot_renders_placeholder(self, capsys, tmp_path):
         assert main(["top", "--store", str(tmp_path / "empty"),
                      "--once"]) == 0

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ReproError, ServingError
-from repro.obs import Instrumentation, MetricsRegistry
+from repro.exceptions import ReproError
+from repro.obs import Instrumentation, MetricsRegistry, SLOSpec
 from repro.reliability import (
     FAULT_ACTIONS,
     CircuitBreaker,
@@ -17,7 +17,7 @@ from repro.reliability import (
     WorkerCrash,
     maybe_fire,
 )
-from repro.serving import MicroBatcher, ModelRegistry
+from repro.serving import MicroBatcher, ModelRegistry, ThroughputReport
 from repro.serving.service import ScoringRequest, ScoringService
 
 
@@ -459,7 +459,8 @@ class TestServiceDegradation:
         assert shed.status == "shed" and not shed.is_scored
         assert shed.label == -1 and shed.verdict == "shed"
         assert service.reliability.sheds == 1
-        assert service.tracker.count == 0  # shed requests are never recorded
+        # Shed requests are answered, never counted as scored.
+        assert ThroughputReport.from_verdicts(verdicts, 1.0).n_requests == 0
         assert service.pending == 0
 
     def test_breaker_trips_on_injected_flush_failures(self, tiny_servable,
@@ -490,7 +491,7 @@ class TestServiceDegradation:
         service = ScoringService(
             tiny_servable, max_batch_size=4,
             retry_policy=RetryPolicy(max_retries=1, base_delay_s=0.0),
-            injector=plan.injector(), retry_sleep=no_sleep)
+            injector=plan.injector())
         verdicts = [verdict for row in malware_rows[:4]
                     for verdict in service.submit(row)]
         verdicts += service.drain()
@@ -521,40 +522,45 @@ class TestServiceDegradation:
         assert by_id["poison"].label == -1
         assert sum(not v.is_scored for v in verdicts) == 1
         assert service.reliability.isolated == 1
-        assert service.tracker.count == 5  # error verdicts are not recorded
+        # Error verdicts are answered, never counted as scored.
+        assert ThroughputReport.from_verdicts(verdicts, 1.0).n_requests == 5
 
-    def test_defense_fallback_after_repeated_failures(self, tiny_servable,
-                                                      malware_rows):
-        class BrokenDefense:
-            name = "broken_defense"
+    def test_slo_breach_demotes_defended_endpoint(self, tiny_servable,
+                                                  malware_rows):
+        # A breached on_breach="fallback" spec is the way to demote a
+        # defended endpoint; the service arms its monitor from slo_specs
+        # on its own instrumentation and clock.
+        class CountingDefense:
+            name = "counting_defense"
             calls = 0
 
             def decide(self, features):
                 self.calls += 1
-                raise RuntimeError("defense wedged")
+                probabilities = tiny_servable.model.malware_confidence(features)
+                return probabilities, (probabilities > 0.5).astype(np.int64)
 
-        detector = BrokenDefense()
+        clock = FakeClock()
+        obs = Instrumentation()
+        detector = CountingDefense()
         service = ScoringService(
-            tiny_servable, detector=detector, max_batch_size=2,
-            retry_policy=RetryPolicy(max_retries=2, base_delay_s=0.0),
-            fallback_after=2, retry_sleep=no_sleep)
-        assert service.defense_name == "broken_defense"
-        verdicts = [verdict for row in malware_rows[:2]
-                    for verdict in service.submit(row)]
-        verdicts += service.drain()
-        # Two defended attempts failed, the budget tripped, and the retry
-        # scored the batch on the undefended fast path.
-        assert service.fell_back
-        assert service.defense_name is None
-        assert detector.calls == 2
-        assert len(verdicts) == 2
-        assert all(v.status == "ok" and v.defense is None for v in verdicts)
+            tiny_servable, detector, max_batch_size=8, clock=clock,
+            instrumentation=obs,
+            slo_specs=[SLOSpec(name="latency", target_ms=1.0, min_events=3,
+                               on_breach="fallback")])
+        for row in malware_rows[:3]:
+            assert service.submit(row) == []
+        clock.advance(0.010)                      # every request waits 10 ms
+        defended = service.drain()
+        assert [v.defense for v in defended] == ["counting_defense"] * 3
+        assert service.fell_back and service.defense_name is None
         assert service.reliability.fallbacks == 1
-        assert service.reliability.flush_retries == 2
-        undefended = ScoringService(tiny_servable).score_many(
-            list(malware_rows[:2]))
-        assert [v.label for v in verdicts] == [v.label for v in undefended]
+        assert obs.metrics.counter("alert.slo.latency").value == 1
 
-    def test_fallback_after_validation(self, tiny_servable):
-        with pytest.raises(ServingError):
-            ScoringService(tiny_servable, fallback_after=0)
+        for row in malware_rows[3:5]:
+            service.submit(row)
+        demoted = service.drain()
+        assert detector.calls == 1                # the defense is bypassed
+        assert all(v.status == "ok" and v.defense is None for v in demoted)
+        undefended = ScoringService(tiny_servable).score_many(
+            list(malware_rows[3:5]))
+        assert [v.label for v in demoted] == [v.label for v in undefended]

@@ -11,10 +11,12 @@ from repro.serving import (
     LoadGenerator,
     MicroBatcher,
     ModelRegistry,
+    ThroughputReport,
     TrafficMix,
+    Verdict,
     bundle_version,
 )
-from repro.serving.stats import LatencyTracker, percentile
+from repro.serving.stats import percentile
 from repro.utils.artifact_cache import ArtifactCache
 
 
@@ -31,6 +33,16 @@ class FakeClock:
         self.now += seconds
 
 
+def _verdicts(latencies, status="ok"):
+    """Verdicts carrying the given latencies (the report's only input)."""
+    return [Verdict(request_id=f"req-{index}", malware_probability=0.0,
+                    label=0 if status == "ok" else -1,
+                    verdict="clean" if status == "ok" else status,
+                    threshold=0.5, model_name="target", model_version="v",
+                    defense=None, latency_ms=latency, status=status)
+            for index, latency in enumerate(latencies)]
+
+
 class TestStats:
     def test_percentile_bounds_are_validated(self):
         with pytest.raises(ServingError):
@@ -39,10 +51,9 @@ class TestStats:
             percentile([], 50.0)
 
     def test_tracker_report(self):
-        tracker = LatencyTracker()
-        for latency in (1.0, 2.0, 3.0, 4.0):
-            tracker.record(latency)
-        report = tracker.report(elapsed_s=2.0)
+        # The verdicts are the latency ledger: the report reads theirs.
+        report = ThroughputReport.from_verdicts(
+            _verdicts([1.0, 2.0, 3.0, 4.0]), elapsed_s=2.0)
         assert report.n_requests == 4
         assert report.requests_per_s == pytest.approx(2.0)
         assert report.mean_ms == pytest.approx(2.5)
@@ -52,49 +63,47 @@ class TestStats:
         assert "4 requests" in report.render()
         assert "p99" in report.render()
 
-    def test_tracker_reset_forgets_observations(self):
-        tracker = LatencyTracker()
-        for _ in range(3):
-            tracker.record(5.0)
-        assert tracker.count == 3
-        tracker.reset()
-        assert tracker.count == 0
+    def test_only_scored_verdicts_count(self):
+        # Shed and error verdicts are answered, not scored: their latencies
+        # (time until the refusal) stay out of the report.
+        verdicts = (_verdicts([1.0, 3.0]) + _verdicts([50.0], status="shed")
+                    + _verdicts([70.0], status="error"))
+        report = ThroughputReport.from_verdicts(verdicts, elapsed_s=1.0)
+        assert report == ThroughputReport.from_verdicts(_verdicts([1.0, 3.0]),
+                                                        elapsed_s=1.0)
+        assert report.n_requests == 2 and report.max_ms == 3.0
 
     def test_empty_tracker_reports_zeroed_interval(self):
         # Reporting on an idle interval is well-defined, not an error: the
-        # fleet aggregator and periodic reporters rely on this.
-        report = LatencyTracker().report(1.0)
+        # fleet aggregator and periodic reporters rely on this.  An interval
+        # whose every verdict was shed is idle too.
+        report = ThroughputReport.from_verdicts([], 1.0)
         assert report.n_requests == 0
         assert report.requests_per_s == 0.0
         assert report.mean_ms == report.p50_ms == report.p95_ms == 0.0
         assert report.p99_ms == report.max_ms == 0.0
-        assert LatencyTracker().report(0.0).elapsed_s == 0.0
+        assert ThroughputReport.from_verdicts([], 0.0).elapsed_s == 0.0
+        assert ThroughputReport.from_verdicts(
+            _verdicts([5.0], status="shed"), 1.0) == report
         assert "0 requests" in report.render()
 
     def test_nonempty_tracker_still_requires_positive_interval(self):
-        tracker = LatencyTracker()
-        tracker.record(1.0)
         with pytest.raises(ServingError):
-            tracker.report(0.0)
+            ThroughputReport.from_verdicts(_verdicts([1.0]), 0.0)
 
     def test_report_is_invariant_to_observation_order(self):
-        # A fleet merges per-worker latencies in worker order, not arrival
-        # order: the summary must not depend on how observations interleave.
+        # A fleet merges verdicts in submission order, not arrival order:
+        # the summary must not depend on how observations interleave.
         latencies = [4.0, 1.0, 3.0, 1.0, 9.0, 2.0]
-        shuffled, ordered = LatencyTracker(), LatencyTracker()
-        for latency in latencies:
-            shuffled.record(latency)
-        for latency in sorted(latencies):
-            ordered.record(latency)
-        assert shuffled.report(2.0) == ordered.report(2.0)
+        assert (ThroughputReport.from_verdicts(_verdicts(latencies), 2.0)
+                == ThroughputReport.from_verdicts(_verdicts(sorted(latencies)),
+                                                  2.0))
 
     def test_duplicate_observations_each_count(self):
-        # Batched scoring records the same latency for every request of a
+        # Batched scoring gives the same latency to every request of a
         # fused batch; duplicates are real requests, never collapsed.
-        tracker = LatencyTracker()
-        for latency in (5.0, 5.0, 5.0, 1.0):
-            tracker.record(latency)
-        report = tracker.report(1.0)
+        report = ThroughputReport.from_verdicts(_verdicts([5.0, 5.0, 5.0, 1.0]),
+                                                1.0)
         assert report.n_requests == 4
         assert report.requests_per_s == pytest.approx(4.0)
         assert report.mean_ms == pytest.approx(4.0)
@@ -104,18 +113,18 @@ class TestStats:
     def test_out_of_order_timestamps_clamp_to_zero_latency(self):
         # A worker's flush can observe a finish time earlier than an
         # upstream enqueue stamp (clocks read in different processes); the
-        # service clamps those to zero rather than recording negatives —
-        # and the tracker itself refuses negative observations outright.
-        tracker = LatencyTracker()
-        tracker.record(max(0.0, (1.0 - 2.0) * 1000.0))
-        assert tracker.count == 1
-        assert tracker.report(1.0).max_ms == 0.0
+        # service clamps those to zero rather than reporting negatives —
+        # and the report itself refuses a negative latency outright.
+        report = ThroughputReport.from_verdicts(
+            _verdicts([max(0.0, (1.0 - 2.0) * 1000.0)]), 1.0)
+        assert report.n_requests == 1
+        assert report.max_ms == 0.0
         with pytest.raises(ServingError):
-            tracker.record(-0.001)
+            ThroughputReport.from_verdicts(_verdicts([2.0, -0.001]), 1.0)
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ServingError):
-            LatencyTracker().record(-1.0)
+            ThroughputReport.from_verdicts(_verdicts([-1.0]), 1.0)
 
 
 class TestMicroBatcher:
