@@ -12,7 +12,6 @@ These go beyond the paper's tables/figures:
   notes adversarial training weakens under different attack methods.
 """
 
-import numpy as np
 from conftest import run_once, save_rendering
 
 from repro.attacks.constraints import PerturbationConstraints

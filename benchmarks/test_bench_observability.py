@@ -70,9 +70,9 @@ MAX_OVERHEAD = 0.05
 
 
 @pytest.fixture(scope="module")
-def servable(bench_context, bench_cache):
-    """The served target bundle (warm-started from the benchmark cache)."""
-    return ModelRegistry(cache=bench_cache).get("target", context=bench_context)
+def servable(bench_context):
+    """The served target bundle (warm-started from the context's cache)."""
+    return ModelRegistry().get("target", context=bench_context)
 
 
 @pytest.fixture(scope="module")

@@ -55,8 +55,8 @@ BATCH_SIZE = 16
 
 
 @pytest.fixture(scope="module")
-def servable(bench_context, bench_cache):
-    return ModelRegistry(cache=bench_cache).get("target", context=bench_context)
+def servable(bench_context):
+    return ModelRegistry().get("target", context=bench_context)
 
 
 @pytest.fixture(scope="module")

@@ -43,9 +43,9 @@ BLAS_WARMUP_S = 1.5
 
 
 @pytest.fixture(scope="module")
-def servable(bench_context, bench_cache):
-    """The served target bundle (warm-started from the benchmark cache)."""
-    servable = ModelRegistry(cache=bench_cache).get("target", context=bench_context)
+def servable(bench_context):
+    """The served target bundle (warm-started from the context's cache)."""
+    servable = ModelRegistry().get("target", context=bench_context)
     rows = np.zeros((BATCH_SIZE, servable.n_features))
     deadline = time.perf_counter() + BLAS_WARMUP_S
     while time.perf_counter() < deadline:

@@ -5,8 +5,9 @@ Walks the `repro.serving` layer end to end at the ``tiny`` scale (override
 with ``REPRO_SCALE=small|medium|paper``):
 
 1. resolve the ``target`` model + pipeline bundle through the
-   :class:`~repro.serving.registry.ModelRegistry` (warm-started from the
-   artifact cache when ``REPRO_QUICKSTART_CACHE=<dir>`` is set),
+   :class:`~repro.serving.registry.ModelRegistry` (the context warm-starts
+   both from its artifact cache when ``REPRO_QUICKSTART_CACHE=<dir>`` is
+   set),
 2. score a single API log and print the structured verdict,
 3. replay a mixed clean/malware/adversarial stream through the
    micro-batched service and report throughput + latency quantiles,
@@ -40,8 +41,7 @@ def main() -> None:
           f"cache {'on' if cache_dir else 'off'}")
 
     # 1. Resolve the served bundle (trains on a cold cache, loads on warm).
-    registry = ModelRegistry(cache=cache_dir)
-    servable = registry.get("target", context=context)
+    servable = ModelRegistry().get("target", context=context)
     print(f"== serving bundle: {servable.describe()}")
 
     # 2. Score one log through the full log → features → verdict path.

@@ -17,7 +17,7 @@ constraint that the Table III excerpt lands at the published indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 

@@ -19,14 +19,13 @@ test distribution) rather than at a trivially perfect separation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from repro.config import CLASS_CLEAN, CLASS_MALWARE
 from repro.exceptions import ConfigurationError
-from repro.utils.rng import RandomState, as_rng
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,9 @@ manual source edit: existing behaviour is never removed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Mapping
 
-import numpy as np
-
-from repro.exceptions import ConfigurationError, SandboxError
+from repro.exceptions import ConfigurationError
 from repro.utils.rng import RandomState, as_rng
 
 

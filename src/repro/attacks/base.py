@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.attacks.constraints import PerturbationConstraints
-from repro.config import CLASS_CLEAN, CLASS_MALWARE
+from repro.config import CLASS_CLEAN
 from repro.exceptions import AttackError
 from repro.nn.metrics import detection_rate
 from repro.nn.network import NeuralNetwork

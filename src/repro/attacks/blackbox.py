@@ -19,8 +19,8 @@ following Papernot et al.'s practical black-box attack:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from repro.data.dataset import Dataset
 from repro.data.oracle import LabelOracle
 from repro.exceptions import AttackError
 from repro.models.substitute_model import SubstituteModel
-from repro.nn.network import NeuralNetwork
 from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import check_matrix
 

@@ -13,7 +13,7 @@ Section II-B of the paper fixes the threat model for API-count features:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

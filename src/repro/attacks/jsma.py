@@ -41,7 +41,7 @@ import numpy as np
 from repro.attacks.base import Attack, AttackResult
 from repro.attacks.constraints import PerturbationConstraints
 from repro.attacks.trajectory import TrajectoryRecorder
-from repro.config import CLASS_CLEAN, CLASS_MALWARE
+from repro.config import CLASS_CLEAN
 from repro.exceptions import AttackError
 from repro.nn.network import NeuralNetwork
 from repro.obs.instrument import current as current_instrumentation

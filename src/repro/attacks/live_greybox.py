@@ -14,15 +14,14 @@ attacker's substitute model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.apilog.sandbox import Sandbox
 from repro.apilog.source_sample import SourceSample
 from repro.attacks.constraints import PerturbationConstraints
-from repro.attacks.jsma import JsmaAttack
 from repro.config import CLASS_MALWARE
 from repro.exceptions import AttackError
 from repro.features.pipeline import FeaturePipeline

@@ -15,7 +15,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.attacks.base import Attack, AttackResult
-from repro.config import CLASS_MALWARE
 from repro.exceptions import AttackError
 from repro.nn.metrics import detection_rate
 from repro.nn.network import NeuralNetwork

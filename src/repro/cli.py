@@ -564,9 +564,9 @@ def _cmd_serve(args) -> int:
         replay,
     )
 
-    cache = _cache_from(args.cache_dir)
     context = ExperimentContext(scale=get_profile(args.scale), seed=args.seed,
-                                cache=cache, dtype=args.dtype)
+                                cache=_cache_from(args.cache_dir),
+                                dtype=args.dtype)
     generator = LoadGenerator(context, mix=TrafficMix.parse(args.mix), seed=args.seed)
     plan = _load_fault_plan(args)
     retry_policy = None
@@ -614,7 +614,7 @@ def _cmd_serve(args) -> int:
         summary = [fleet_report.render()]
         snapshot = fleet_report.obs
     else:
-        servable = ModelRegistry(cache=cache).get(args.model, context=context)
+        servable = ModelRegistry().get(args.model, context=context)
         detector = build_endpoint(args.defense, context, model=servable.model)
         injector = (plan.injector(scope={"worker": 0})
                     if plan is not None else None)
@@ -732,10 +732,10 @@ def _cmd_score(args) -> int:
     from repro.serving import ModelRegistry, ScoringService
 
     source = load_scoring_source(args.log_file)
-    cache = _cache_from(args.cache_dir)
     context = ExperimentContext(scale=get_profile(args.scale), seed=args.seed,
-                                cache=cache, dtype=args.dtype)
-    servable = ModelRegistry(cache=cache).get(args.model, context=context)
+                                cache=_cache_from(args.cache_dir),
+                                dtype=args.dtype)
+    servable = ModelRegistry().get(args.model, context=context)
     detector = build_endpoint(args.defense, context, model=servable.model)
     service = ScoringService(servable, detector=detector, threshold=args.threshold)
     verdict = service.score(source, request_id=args.log_file.stem)

@@ -18,7 +18,7 @@ scale; EXPERIMENTS.md records which profile produced which reported number.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 from repro.exceptions import ConfigurationError

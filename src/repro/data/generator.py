@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.apilog.api_catalog import ApiCatalog, default_catalog
 from repro.apilog.behavior_profiles import ProfileLibrary, default_profile_library
-from repro.apilog.sandbox import SUPPORTED_OS_VERSIONS, Sandbox
+from repro.apilog.sandbox import Sandbox
 from repro.apilog.source_sample import SourceSample
 from repro.config import CLASS_CLEAN, CLASS_MALWARE, ScaleProfile, default_profile
 from repro.data.dataset import Dataset

@@ -9,7 +9,7 @@ interface, counting queries so experiments can report query budgets.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 

@@ -11,11 +11,11 @@ VI — is a detector whose adversarial detection rate rises from 0.304 to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.config import CLASS_CLEAN, CLASS_MALWARE, ScaleProfile, default_profile
+from repro.config import CLASS_MALWARE, ScaleProfile, default_profile
 from repro.data.dataset import Dataset
 from repro.defenses.base import Defense, ModelBackedDetector
 from repro.exceptions import DefenseError

@@ -9,8 +9,7 @@ treats "No Defense" and every defended variant identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 import numpy as np
 

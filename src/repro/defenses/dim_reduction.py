@@ -19,7 +19,6 @@ from repro.defenses.base import DefendedDetector, Defense
 from repro.defenses.pca import PCA
 from repro.exceptions import DefenseError
 from repro.models.target_model import TargetModel
-from repro.nn.network import NeuralNetwork
 from repro.scenarios.registry import Param, register_defense
 from repro.utils.rng import RandomState
 from repro.utils.validation import check_matrix

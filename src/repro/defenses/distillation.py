@@ -23,7 +23,7 @@ from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optimizers import Adam
 from repro.nn.training import Trainer
 from repro.scenarios.registry import Param, register_defense
-from repro.utils.rng import RandomState, as_rng, spawn_rngs
+from repro.utils.rng import RandomState, spawn_rngs
 
 
 def _scenario_fitter(cls, context, params, model=None):

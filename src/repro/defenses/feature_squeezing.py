@@ -22,7 +22,7 @@ definition something malicious trying to evade).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 import numpy as np
 

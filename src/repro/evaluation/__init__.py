@@ -29,7 +29,6 @@ from repro.evaluation.security_curve import (
 from repro.evaluation.sweep import (
     ReplaySweep,
     dispatch_gamma_sweep,
-    gamma_sweep_from_trajectory,
     replay_gamma_sweep,
     score_sweep_points,
     supports_replay,
@@ -42,7 +41,6 @@ __all__ = [
     "theta_sweep",
     "ReplaySweep",
     "dispatch_gamma_sweep",
-    "gamma_sweep_from_trajectory",
     "replay_gamma_sweep",
     "score_sweep_points",
     "supports_replay",

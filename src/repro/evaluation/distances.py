@@ -14,7 +14,7 @@ insight that motivates the defenses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 

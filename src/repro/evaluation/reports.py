@@ -7,7 +7,7 @@ paper's tables report; these helpers keep that formatting in one place.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 

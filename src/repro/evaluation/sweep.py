@@ -49,7 +49,6 @@ from repro.utils.validation import check_matrix
 __all__ = [
     "ReplaySweep",
     "dispatch_gamma_sweep",
-    "gamma_sweep_from_trajectory",
     "replay_gamma_sweep",
     "score_sweep_points",
     "supports_replay",
@@ -273,17 +272,3 @@ def dispatch_gamma_sweep(attack_factory: AttackFactory,
                    swept_parameter="gamma", fixed_value=float(theta))
     return curve, None
 
-
-def gamma_sweep_from_trajectory(attack_factory: AttackFactory,
-                                malware_features: np.ndarray,
-                                models: Dict[str, object], theta: float,
-                                gamma_values: Sequence[float],
-                                n_features: Optional[int] = None) -> SecurityCurve:
-    """The replayed γ security curve (curve-only view of the engine).
-
-    One full-budget instrumented attack run; every operating point is a
-    trajectory-prefix slice, scored through one stacked predict per model.
-    """
-    return replay_gamma_sweep(attack_factory, malware_features, models,
-                              theta=theta, gamma_values=gamma_values,
-                              n_features=n_features).curve

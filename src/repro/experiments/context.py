@@ -9,11 +9,11 @@ retrain models per figure.
 
 With an :class:`~repro.utils.artifact_cache.ArtifactCache` attached, the
 artifacts additionally persist *across processes*: a warm run loads the
-corpus and trained models from disk instead of regenerating and retraining
-them.  Cache keys cover the scale profile, the master seed, the compute
-dtype and (for adversarial sets) the attack operating point, so any change
-to those builds a fresh artifact; code changes that alter artifact semantics
-are handled by bumping
+corpus, its feature pipeline and the trained models from disk instead of
+regenerating and retraining them.  Cache keys cover the scale profile, the
+master seed, the compute dtype and (for adversarial sets) the attack
+operating point, so any change to those builds a fresh artifact; code
+changes that alter artifact semantics are handled by bumping
 :data:`~repro.utils.artifact_cache.CACHE_SCHEMA_VERSION` (see that module's
 invalidation rules).
 """
@@ -62,9 +62,9 @@ class ExperimentContext:
         Master seed; every derived component gets a named child seed.
     cache:
         Optional :class:`~repro.utils.artifact_cache.ArtifactCache` (or a
-        cache-root path) that persists the corpus, trained models and
-        adversarial sets across processes.  ``None`` (the default) keeps the
-        in-process lazy behaviour only.
+        cache-root path) that persists the corpus, feature pipeline,
+        trained models and adversarial sets across processes.  ``None`` (the
+        default) keeps the in-process lazy behaviour only.
     dtype:
         Optional compute dtype (``"float32"``/``"float64"``) for every
         artifact this context builds.  ``None`` (the default) follows the
@@ -92,6 +92,7 @@ class ExperimentContext:
         self.seeds = SeedSequence(master_seed=seed)
         self._generator: Optional[CorpusGenerator] = None
         self._corpus: Optional[CorpusBundle] = None
+        self._pipeline: Optional[FeaturePipeline] = None
         self._target: Optional[TargetModel] = None
         self._substitute: Optional[SubstituteModel] = None
         self._binary_substitute: Optional[SubstituteModel] = None
@@ -180,8 +181,19 @@ class ExperimentContext:
 
     @property
     def pipeline(self) -> FeaturePipeline:
-        """The defender's fitted feature pipeline."""
-        return self.corpus.pipeline
+        """The defender's fitted feature pipeline (the corpus's own).
+
+        Cached as an artifact of its own, so serving a warm-cached model
+        loads the pipeline without the corpus.
+        """
+        if self._pipeline is None:
+            self._pipeline = self._cached(
+                "pipeline",
+                build=lambda: self.corpus.pipeline,
+                save=FeaturePipeline.save,
+                load=FeaturePipeline.load,
+            )
+        return self._pipeline
 
     @property
     def target_model(self) -> TargetModel:

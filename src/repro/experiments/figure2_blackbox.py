@@ -10,7 +10,7 @@ pipeline on the synthetic substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.attacks.blackbox import BlackBoxAttackReport, BlackBoxFramework
 from repro.attacks.constraints import PerturbationConstraints

@@ -17,7 +17,7 @@ trajectory and runs per point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.evaluation.reports import render_security_curve
 from repro.evaluation.security_curve import (

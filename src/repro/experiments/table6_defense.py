@@ -11,10 +11,9 @@ TPR on the malware / adversarial sets, exactly the cells Table VI fills in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.evaluation.reports import render_defense_table
 from repro.experiments import paper_values
 from repro.experiments.context import ExperimentContext
 from repro.scenarios import ScenarioSpec

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.apilog.api_catalog import ApiCatalog, build_catalog, default_catalog
-from repro.apilog.log_format import ApiLog
+from repro.apilog.api_catalog import ApiCatalog, default_catalog
 from repro.exceptions import NotFittedError, SerializationError
 from repro.features.extraction import CountExtractor, CountSource
 from repro.features.transformation import (

@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import ConfigurationError, NotFittedError, ShapeError
-from repro.utils.serialization import load_bundle, save_bundle
 from repro.utils.validation import check_matrix
 
 

@@ -10,13 +10,12 @@ either model unchanged.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.config import CLASS_MALWARE
 from repro.data.dataset import Dataset
-from repro.exceptions import NotFittedError
 from repro.nn.metrics import ClassificationReport, detection_rate
 from repro.nn.network import NeuralNetwork
 from repro.nn.optimizers import Adam

@@ -10,17 +10,13 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-
-from repro.config import CLASS_CLEAN, CLASS_MALWARE, N_FEATURES, ScaleProfile, default_profile
+from repro.config import N_FEATURES, ScaleProfile, default_profile
 from repro.data.dataset import Dataset
 from repro.data.generator import CorpusBundle, CorpusGenerator
 from repro.features.pipeline import FeaturePipeline
 from repro.features.transformation import BinaryTransformer
 from repro.models.substitute_model import SubstituteModel
 from repro.models.target_model import TargetModel
-from repro.nn.network import NeuralNetwork
-from repro.nn.training import EarlyStopping
 from repro.utils.rng import RandomState
 
 

@@ -12,8 +12,6 @@ the cross-entropy so the backward pass is the numerically friendly
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.exceptions import ShapeError

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import copy
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.nn.activations import ACTIVATIONS, get_activation, softmax, softmax_i
 from repro.nn.engine import SUPPORTED_DTYPES
 from repro.nn.layers import Dense, Dropout, Layer, Parameter
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.utils.rng import RandomState, as_rng, spawn_rngs
+from repro.utils.rng import RandomState, spawn_rngs
 from repro.utils.serialization import load_bundle, save_bundle
 
 

@@ -7,7 +7,7 @@ batch size 256); :class:`Adam` reproduces that configuration.  Plain
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 

@@ -241,8 +241,7 @@ def render_top(payload: Optional[Mapping[str, object]],
                      f"max {depth['max']:g}")
 
     for status in payload.get("slo") or []:
-        flag = "BREACH" if status.get("breached") else (
-            "active" if status.get("active") else "ok")
+        flag = "BREACH" if status.get("breached") else "ok"
         lines.append(
             f"slo        {status['name']:<12}"
             f" attainment {float(status.get('attainment', 1.0)):.1%}"

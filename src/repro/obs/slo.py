@@ -111,15 +111,13 @@ class SLOStatus:
     n_fast: int
     n_slow: int
     breached: bool         #: this evaluation crossed both thresholds
-    active: bool           #: breach currently in force (edge-triggered state)
     on_breach: str
 
     def as_dict(self) -> Dict[str, object]:
         return {"name": self.name, "attainment": self.attainment,
                 "fast_burn": self.fast_burn, "slow_burn": self.slow_burn,
                 "n_fast": self.n_fast, "n_slow": self.n_slow,
-                "breached": self.breached, "active": self.active,
-                "on_breach": self.on_breach}
+                "breached": self.breached, "on_breach": self.on_breach}
 
 
 class _BurnWindow:
@@ -192,8 +190,6 @@ class SLOMonitor:
                       for spec in self.specs}
         self._active: Dict[str, bool] = {spec.name: False for spec in self.specs}
         self._last: Dict[str, SLOStatus] = {}
-        self.n_alerts = 0
-        self.alerts: List[Dict[str, object]] = []  #: firing history (ingestion)
 
     # ------------------------------------------------------------------ #
     # Feeding
@@ -268,31 +264,19 @@ class SLOMonitor:
             breached = (n_fast >= spec.min_events
                         and fast_burn >= spec.fast_burn
                         and slow_burn >= spec.slow_burn)
-            was_active = self._active[spec.name]
-            if breached and not was_active:
-                self._fire(spec, fast_burn, slow_burn, attainment)
+            if breached and not self._active[spec.name] and self._obs is not None:
+                self._obs.alert(f"slo.{spec.name}", fast_burn,
+                                slow_burn=slow_burn, attainment=attainment,
+                                objective=spec.objective,
+                                on_breach=spec.on_breach)
             self._active[spec.name] = breached
             status = SLOStatus(name=spec.name, attainment=attainment,
                                fast_burn=fast_burn, slow_burn=slow_burn,
                                n_fast=n_fast, n_slow=n_slow,
-                               breached=breached, active=breached,
-                               on_breach=spec.on_breach)
+                               breached=breached, on_breach=spec.on_breach)
             self._last[spec.name] = status
             statuses.append(status)
         return statuses
-
-    def _fire(self, spec: SLOSpec, fast_burn: float, slow_burn: float,
-              attainment: float) -> None:
-        self.n_alerts += 1
-        record = {"slo": spec.name, "fast_burn": fast_burn,
-                  "slow_burn": slow_burn, "attainment": attainment,
-                  "objective": spec.objective, "on_breach": spec.on_breach}
-        self.alerts.append(record)
-        if self._obs is not None:
-            self._obs.alert(f"slo.{spec.name}", fast_burn,
-                            slow_burn=slow_burn, attainment=attainment,
-                            objective=spec.objective,
-                            on_breach=spec.on_breach)
 
     # ------------------------------------------------------------------ #
     # Degradation hooks / reporting

@@ -370,8 +370,7 @@ class WorkerFleet:
         from repro.serving.registry import ModelRegistry
 
         self._mp_context = multiprocessing.get_context(self.start_method)
-        registry = ModelRegistry(cache=self.context.cache)
-        self.servable = registry.get(self.model, context=self.context)
+        self.servable = ModelRegistry().get(self.model, context=self.context)
         self._detector = build_endpoint(self.defense, self.context,
                                         model=self.servable.model)
         self._task_queue = self._mp_context.Queue()

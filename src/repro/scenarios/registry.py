@@ -29,7 +29,7 @@ from __future__ import annotations
 import importlib
 import json
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError

@@ -4,8 +4,9 @@ Turns the defender stack (`pipeline → target DNN`, optionally wrapped by a
 Table VI defense) into a reusable online scoring service:
 
 * :mod:`repro.serving.registry` — named, versioned ``model + pipeline``
-  bundles with :class:`~repro.utils.artifact_cache.ArtifactCache`-backed
-  warm starts;
+  bundles resolved on an
+  :class:`~repro.experiments.context.ExperimentContext`, which warm-starts
+  both halves from its artifact cache;
 * :mod:`repro.serving.batcher` — fixed-size / fixed-latency micro-batching
   of incoming requests;
 * :mod:`repro.serving.service` — the :class:`ScoringService` facade
@@ -21,27 +22,21 @@ Quickstart::
     from repro import ExperimentContext
     from repro.serving import ModelRegistry, ScoringService, LoadGenerator
 
-    context = ExperimentContext()
-    servable = ModelRegistry(cache="~/.cache/repro-dsn2019").get("target",
-                                                                 context=context)
+    context = ExperimentContext(cache="~/.cache/repro-dsn2019")
+    servable = ModelRegistry().get("target", context=context)
     service = ScoringService(servable)
     verdict = service.score(some_api_log)
 """
 
 from repro.serving.batcher import MicroBatcher
 from repro.serving.loadgen import TRAFFIC_KINDS, LoadGenerator, TrafficMix, replay
-from repro.serving.registry import (
-    BUNDLE_KIND,
-    ModelRegistry,
-    ServableModel,
-    bundle_version,
-)
+from repro.serving.registry import ModelRegistry, ServableModel, bundle_version
 from repro.serving.service import ScoringRequest, ScoringService, Verdict
 from repro.serving.stats import ThroughputReport, percentile
 
 __all__ = [
     # registry
-    "ModelRegistry", "ServableModel", "bundle_version", "BUNDLE_KIND",
+    "ModelRegistry", "ServableModel", "bundle_version",
     # batching + service
     "MicroBatcher", "ScoringService", "ScoringRequest", "Verdict",
     # load generation

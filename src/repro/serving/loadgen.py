@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -179,7 +179,9 @@ def replay(service: ScoringService, requests: Sequence[ScoringRequest],
     With ``rate_per_s`` (arrivals sampled like
     :meth:`LoadGenerator.arrival_times`, varied by ``seed``) the stream is
     paced like a Poisson arrival process — the service's latency numbers
-    then include genuine queueing delay, and the pacing loop wakes up early
+    then include genuine queueing delay, timed from each request's scheduled
+    arrival so a flush that stalls the loop counts against every request
+    due meanwhile, not just the one it holds.  The pacing loop wakes up early
     whenever the service's flush deadline falls before the next arrival, so
     ``max_delay_ms`` is honoured even at request rates slower than the SLO.
     Otherwise requests are pushed back-to-back as fast as the service
@@ -204,6 +206,7 @@ def replay(service: ScoringService, requests: Sequence[ScoringRequest],
                       "elapsed_s": time.perf_counter() - start})
 
     for index, request in enumerate(requests):
+        arrival = None
         if offsets is not None:
             arrival = start + offsets[index]
             while True:
@@ -215,6 +218,6 @@ def replay(service: ScoringService, requests: Sequence[ScoringRequest],
                 collect(service.poll())
                 if wake >= arrival:
                     break
-        collect(service.submit(request))
+        collect(service.submit(request, enqueued_at=arrival))
     collect(service.drain())
     return verdicts

@@ -2,13 +2,10 @@
 
 A deployed detector is more than a network: it is the network *plus* the
 feature pipeline it was trained behind, at a specific scale/seed/dtype.
-:class:`ModelRegistry` owns that pairing.  Each registered name maps to a
-builder that produces the bundle from an
-:class:`~repro.experiments.context.ExperimentContext`; the registry stamps
-the result with a deterministic *version* (a content hash of name, scale
-profile, seed and compute dtype) and — when an
-:class:`~repro.utils.artifact_cache.ArtifactCache` is attached — persists
-the bundle so later processes warm-start the service without retraining.
+:class:`ModelRegistry` resolves a name to that pairing on an
+:class:`~repro.experiments.context.ExperimentContext`, which builds, caches
+and persists both halves, and stamps the result with a deterministic
+*version* (a content hash of name, scale profile, seed and compute dtype).
 """
 
 from __future__ import annotations
@@ -17,40 +14,21 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.config import ScaleProfile
 from repro.exceptions import ServingError
 from repro.experiments.context import ExperimentContext
 from repro.features.pipeline import FeaturePipeline
 from repro.models.base import DetectorModel
-from repro.models.substitute_model import SubstituteModel
-from repro.models.target_model import TargetModel
-from repro.nn.engine import compute_dtype
-from repro.scenarios.registry import DEFENSES, build_endpoint, ensure_registries
-from repro.scenarios.spec import ScenarioSpec
 from repro.utils.artifact_cache import CACHE_SCHEMA_VERSION, ArtifactCache
 
-#: Cache kind under which serving bundles are stored.
-BUNDLE_KIND = "serving"
-
-_BUNDLE_INFO = "bundle.json"
-
-_MODEL_CLASSES = {
-    "TargetModel": TargetModel,
-    "SubstituteModel": SubstituteModel,
-    "DetectorModel": DetectorModel,
-}
-
-#: A builder turns shared experiment state into a (model, fitted pipeline) pair.
-ModelBuilder = Callable[[ExperimentContext], Tuple[DetectorModel, FeaturePipeline]]
-
-#: The bundle builder behind each scenario crafting surface (the ``target``
-#: and ``substitute`` entries are also the registry's default bundles).
-MODEL_BUILDERS: Dict[str, ModelBuilder] = {
+#: The servable bundles: the deployed detector, and the attacker's Table IV
+#: substitute behind the same defender pipeline.
+MODEL_BUILDERS: Dict[str, Callable[[ExperimentContext],
+                                   Tuple[DetectorModel, FeaturePipeline]]] = {
     "target": lambda ctx: (ctx.target_model, ctx.pipeline),
     "substitute": lambda ctx: (ctx.substitute_model, ctx.pipeline),
-    "binary_substitute": lambda ctx: (ctx.binary_substitute, ctx.binary_pipeline),
 }
 
 
@@ -103,178 +81,39 @@ class ServableModel:
 
 
 class ModelRegistry:
-    """Registry of named model builders with cache-backed warm starts.
+    """Resolves the bundle names of :data:`MODEL_BUILDERS` on a context.
 
     Parameters
     ----------
     cache:
         Optional :class:`~repro.utils.artifact_cache.ArtifactCache` (or cache
-        root path).  When attached, resolved bundles persist under the
-        ``serving`` kind keyed by their version, and later :meth:`get` calls
-        load them from disk instead of rebuilding the experiment artifacts.
-
-    The ``target`` (deployed detector + defender pipeline) and
-    ``substitute`` (the attacker's Table IV model behind the same pipeline)
-    builders are registered out of the box.
+        root path) for the default context :meth:`get` builds when it is
+        given none.  A passed context serves from its own cache.
     """
 
     def __init__(self, cache: Optional[Union[ArtifactCache, str, Path]] = None) -> None:
         if cache is not None and not isinstance(cache, ArtifactCache):
             cache = ArtifactCache(cache)
         self.cache = cache
-        self._builders: Dict[str, ModelBuilder] = {}
-        self._scenarios: Dict[str, ScenarioSpec] = {}
-        self._loaded: Dict[str, ServableModel] = {}
-        self.cold_builds = 0
-        self.register("target", MODEL_BUILDERS["target"])
-        self.register("substitute", MODEL_BUILDERS["substitute"])
 
-    # ------------------------------------------------------------------ #
-    # Registration
-    # ------------------------------------------------------------------ #
-    def register(self, name: str, builder: ModelBuilder) -> None:
-        """Register (or replace) a named bundle builder."""
-        if not name or not isinstance(name, str):
-            raise ServingError(f"model name must be a non-empty string, got {name!r}")
-        self._builders[name] = builder
+    def get(self, name: str = "target",
+            context: Optional[ExperimentContext] = None) -> ServableModel:
+        """The named bundle over ``context``'s own model and pipeline.
 
-    def register_scenario(self, name: str,
-                          spec: Union[ScenarioSpec, Dict]) -> None:
-        """Register a scenario-built defended bundle under ``name``.
-
-        The bundle's model follows ``spec.model`` (``target`` /
-        ``substitute`` / ``binary_substitute``) and its endpoint defense —
-        resolved through the DefenseRegistry with ``spec.defense_params`` —
-        is available from :meth:`detector_for`, so a
-        :class:`~repro.serving.service.ScoringService` can serve any cell of
-        the attack x defense grid by name::
-
-            registry.register_scenario("squeezed", ScenarioSpec(
-                defense="feature_squeezing", scale="small"))
-            servable = registry.get("squeezed", context=context)
-            service = ScoringService(
-                servable, detector=registry.detector_for("squeezed", context))
+        The context memoises and persists both halves, so repeated calls
+        share one model and pipeline, and a fresh context over a warm cache
+        loads them without regenerating the corpus.
         """
-        if not isinstance(spec, ScenarioSpec):
-            spec = ScenarioSpec.from_dict(spec)
-        ensure_registries()
-        # Fail at registration time on unknown defenses or bad parameters,
-        # not at first request.  (spec.model is already constrained to
-        # MODEL_KINDS by ScenarioSpec itself.)
-        defense_entry = DEFENSES.get(spec.defense)
-        defense_entry.resolve_params(spec.defense_params)
-        if spec.model == "binary_substitute" and defense_entry.entry_id != "none":
-            # Mirrors run_scenario's rejection: defenses calibrate against
-            # the count feature space, which a binary-feature bundle cannot
-            # score consistently.
-            raise ServingError(
-                f"scenario bundle {name!r}: binary_substitute bundles cannot "
-                f"carry a defense endpoint; use defense='none'")
-        self._scenarios[name] = spec
-        self.register(name, MODEL_BUILDERS[spec.model])
-
-    def scenario_for(self, name: str) -> Optional[ScenarioSpec]:
-        """The spec behind a scenario bundle (None for plain bundles)."""
-        return self._scenarios.get(name)
-
-    def detector_for(self, name: str, context: ExperimentContext):
-        """The fitted defense endpoint of a scenario bundle.
-
-        Returns ``None`` for plain bundles and for scenarios without a
-        defense, so callers can pass the result straight to
-        ``ScoringService(..., detector=...)``.  Wrap-style defenses guard
-        the bundle's *own* model (a substitute-bundle squeezing endpoint is
-        calibrated over the substitute network, not the target's).  A
-        binary-substitute bundle never carries a defense
-        (:meth:`register_scenario` rejects one).
-        """
-        spec = self._scenarios.get(name)
-        if spec is None:
-            return None
-        model = context.substitute_model if spec.model == "substitute" else None
-        return build_endpoint(spec.defense, context, spec.defense_params,
-                              model=model)
-
-    def available(self) -> List[str]:
-        """Sorted names of the registered builders."""
-        return sorted(self._builders)
-
-    # ------------------------------------------------------------------ #
-    # Resolution
-    # ------------------------------------------------------------------ #
-    def get(self, name: str = "target", context: Optional[ExperimentContext] = None,
-            scale: Optional[ScaleProfile] = None, seed: int = 0,
-            dtype=None) -> ServableModel:
-        """Resolve a named bundle, warm-starting from the cache when possible.
-
-        Either pass an existing ``context`` (its scale/seed/dtype pin the
-        version) or let the registry build one from ``scale``/``seed``/
-        ``dtype`` — sharing the registry's cache, so the context's own
-        corpus/model artifacts also persist.
-        """
-        if name not in self._builders:
-            raise ServingError(
-                f"unknown model {name!r}; registered models: {self.available()}")
+        builder = MODEL_BUILDERS.get(name)
+        if builder is None:
+            raise ServingError(f"unknown model {name!r}; registered models: "
+                               f"{sorted(MODEL_BUILDERS)}")
         if context is None:
-            context = ExperimentContext(scale=scale, seed=seed, cache=self.cache,
-                                        dtype=dtype)
-        dtype_str = str(context.dtype if context.dtype is not None else compute_dtype())
-        version = bundle_version(name, context.scale, context.seed, dtype_str)
-        if version in self._loaded:
-            return self._loaded[version]
-
-        def build() -> ServableModel:
-            self.cold_builds += 1
-            model, pipeline = self._builders[name](context)
-            if not pipeline.is_fitted:
-                raise ServingError(
-                    f"builder for {name!r} returned an unfitted feature pipeline")
-            return ServableModel(name=name, version=version, model=model,
-                                 pipeline=pipeline, scale=context.scale,
-                                 seed=context.seed, dtype=dtype_str)
-
-        if self.cache is None:
-            servable = build()
-        else:
-            servable = self.cache.load_or_build(
-                BUNDLE_KIND, version, build, self._save_bundle, self._load_bundle)
-        self._loaded[version] = servable
-        return servable
-
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _save_bundle(servable: ServableModel, path: Path) -> None:
-        servable.model.save(path / "model")
-        servable.pipeline.save(path / "pipeline")
-        info = {
-            "name": servable.name,
-            "version": servable.version,
-            "scale": asdict(servable.scale),
-            "seed": servable.seed,
-            "dtype": servable.dtype,
-            "model_class": type(servable.model).__name__,
-            "model_name": servable.model.name,
-        }
-        (path / _BUNDLE_INFO).write_text(json.dumps(info, indent=2, sort_keys=True),
-                                         encoding="utf-8")
-
-    @staticmethod
-    def _load_bundle(path: Path) -> ServableModel:
-        info = json.loads((path / _BUNDLE_INFO).read_text(encoding="utf-8"))
-        model_cls = _MODEL_CLASSES.get(info.get("model_class", ""), DetectorModel)
-        model = model_cls.load(path / "model", name=info["model_name"])
+            context = ExperimentContext(cache=self.cache)
+        model, pipeline = builder(context)
+        dtype = str(context.effective_dtype())
         return ServableModel(
-            name=info["name"],
-            version=info["version"],
-            model=model,
-            pipeline=FeaturePipeline.load(path / "pipeline"),
-            scale=ScaleProfile(**info["scale"]),
-            seed=int(info["seed"]),
-            dtype=str(info["dtype"]),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ModelRegistry(models={self.available()}, "
-                f"cache={None if self.cache is None else str(self.cache.root)!r})")
+            name=name,
+            version=bundle_version(name, context.scale, context.seed, dtype),
+            model=model, pipeline=pipeline, scale=context.scale,
+            seed=context.seed, dtype=dtype)

@@ -473,7 +473,7 @@ class ScoringService:
         slo = self._slo
         now = self._clock()
         for verdict in verdicts:
-            slo.observe(latency_ms=verdict.latency_ms, good=True, now=now)
+            slo.observe_verdict(verdict, now=now)
         slo.evaluate(now=now)
         if (slo.wants_fallback() and not self._fallen_back
                 and self.detector is not None):

@@ -12,7 +12,7 @@ in one component does not perturb another component's stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 

@@ -7,7 +7,7 @@ reported with actionable messages instead of deep numpy tracebacks.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

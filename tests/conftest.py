@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 
 from repro.config import TINY_PROFILE
-from repro.data.generator import CorpusGenerator
 from repro.experiments.context import ExperimentContext
-from repro.models.factory import train_substitute_model, train_target_model
 from repro.nn.network import NeuralNetwork
 
 

@@ -2,7 +2,6 @@
 models → attacks → defenses, on the tiny scale profile."""
 
 import numpy as np
-import pytest
 
 from repro.apilog.sandbox import Sandbox
 from repro.attacks.constraints import PerturbationConstraints

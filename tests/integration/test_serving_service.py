@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.apilog.log_format import ApiLog, LogRecord
-from repro.config import CLASS_CLEAN, TINY_PROFILE
+from repro.config import TINY_PROFILE
 from repro.defenses.base import ModelBackedDetector
 from repro.defenses.ensemble import EnsembleDefense
 from repro.defenses.feature_squeezing import FeatureSqueezingDefense
@@ -203,6 +203,27 @@ class TestDegenerateLogs:
         assert len(verdicts) == len(requests)
         report = ThroughputReport.from_verdicts(verdicts, elapsed_s=1.0)
         assert report.max_ms < 60.0                # ~100 ms without the fix
+
+    def test_paced_replay_times_latency_from_the_scheduled_arrival(
+            self, servable, context, log_requests):
+        # The first flush stalls 100 ms; the requests that fall due meanwhile
+        # must carry that schedule lag in their latency, not be timed from
+        # the late submit (coordinated omission).
+        from repro.reliability import FaultPlan, FaultSpec
+
+        plan = FaultPlan(specs=(FaultSpec(site="service.flush", action="delay",
+                                          delay_ms=100.0),))
+        service = ScoringService(servable, max_batch_size=1,
+                                 injector=plan.injector())
+        requests = log_requests[:5]
+        due_s = LoadGenerator(context, seed=3).arrival_times(len(requests), 1000.0)
+        verdicts = replay(service, requests, rate_per_s=1000.0, seed=3)
+        latency_ms = {v.request_id: v.latency_ms for v in verdicts}
+        stall_ends_s = due_s[0] + 0.100
+        assert due_s[1] < stall_ends_s
+        for request, due in zip(requests[1:], due_s[1:]):
+            lag_ms = (stall_ends_s - due) * 1000.0
+            assert latency_ms[request.request_id] >= lag_ms - 0.5
 
     def test_replay_rate_matches_generator_arrival_times(self, servable, context):
         from repro.serving.loadgen import _poisson_offsets

@@ -14,17 +14,14 @@ import pytest
 from repro.attacks.constraints import PerturbationConstraints
 from repro.attacks.jsma import JsmaAttack
 from repro.attacks.random_noise import RandomAdditionAttack
-from repro.config import TINY_PROFILE
 from repro.evaluation.reports import render_security_curve
 from repro.evaluation.robustness import minimal_evasion_budget
-from repro.evaluation.security_curve import gamma_sweep, paper_gamma_grid, theta_sweep
+from repro.evaluation.security_curve import gamma_sweep, theta_sweep
 from repro.evaluation.sweep import (
-    gamma_sweep_from_trajectory,
     replay_gamma_sweep,
     supports_replay,
 )
 from repro.exceptions import AttackError
-from repro.experiments.context import ExperimentContext
 from repro.nn.engine import use_dtype
 from repro.scenarios import ScenarioSpec, run_scenario
 
@@ -146,9 +143,9 @@ class TestGammaReplayParity:
                                         random_state=7)
 
         with pytest.raises(AttackError):
-            gamma_sweep_from_trajectory(factory, tiny_malware.features,
-                                        {"target": network}, theta=0.1,
-                                        gamma_values=GRID)
+            replay_gamma_sweep(factory, tiny_malware.features,
+                               {"target": network}, theta=0.1,
+                               gamma_values=GRID)
 
     def test_unknown_strategy_rejected(self, tiny_context, tiny_malware):
         network = tiny_context.target_model.network

@@ -6,7 +6,6 @@ strength: add-only perturbations, box constraints, and feature budgets.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

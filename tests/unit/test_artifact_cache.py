@@ -508,6 +508,17 @@ class TestContextIntegration:
         warm_advex = warm.greybox_adversarial(theta=0.1, gamma=0.02)
         np.testing.assert_array_equal(warm_advex.features, cold_advex.features)
 
+    def test_warm_pipeline_loads_without_the_corpus(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "cache")
+        cold = ExperimentContext(scale=TINY_PROFILE, seed=80, cache=cache)
+        assert cold.pipeline is cold.corpus.pipeline
+        warm = ExperimentContext(scale=TINY_PROFILE, seed=80, cache=cache)
+        assert warm.pipeline.catalog.names == cold.pipeline.catalog.names
+        np.testing.assert_array_equal(warm.pipeline.transformer.scales,
+                                      cold.pipeline.transformer.scales)
+        assert warm.describe()["corpus_built"] is False
+        assert [entry.kind for entry in cache.entries()] == ["corpus", "pipeline"]
+
     def test_different_seeds_do_not_share_artifacts(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
         a = ExperimentContext(scale=TINY_PROFILE, seed=1, cache=cache)

@@ -363,8 +363,10 @@ class TestServingCommands:
         assert main(["cache-info", "--cache-dir", str(cache_dir)]) == 0
         output = capsys.readouterr().out
         assert "cache root" in output
-        assert "serving" in output
-        assert "target" in output
+        kinds = {line.split()[0] for line in output.splitlines()[2:]
+                 if line.strip()}
+        assert {"corpus", "pipeline", "target"} <= kinds
+        assert "serving" not in kinds
         assert "entries" in output and "bytes total" in output
         assert "KiB" in output or "MiB" in output  # human-readable sizes
 

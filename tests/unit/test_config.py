@@ -10,7 +10,6 @@ from repro.config import (
     PROFILES,
     SMALL_PROFILE,
     TINY_PROFILE,
-    ScaleProfile,
     default_profile,
     get_profile,
 )

@@ -3,9 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.attacks.constraints import PerturbationConstraints
-from repro.attacks.jsma import JsmaAttack
-from repro.config import CLASS_MALWARE
 from repro.data.dataset import Dataset
 from repro.defenses.adversarial_training import AdversarialTrainingDefense, deduplicate
 from repro.defenses.base import ModelBackedDetector
@@ -14,7 +11,6 @@ from repro.defenses.distillation import DefensiveDistillation
 from repro.defenses.ensemble import EnsembleDefense, EnsembleDetector
 from repro.defenses.feature_squeezing import (
     FeatureSqueezingDefense,
-    SqueezedDetector,
     binary_squeeze,
     bit_depth_squeeze,
     small_count_squeeze,

@@ -1,6 +1,5 @@
 """Unit tests for experiment result objects and the paper reference values."""
 
-import numpy as np
 import pytest
 
 from repro.experiments import paper_values

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apilog.api_catalog import build_catalog, default_catalog
+from repro.apilog.api_catalog import build_catalog
 from repro.apilog.log_format import ApiLog, LogRecord
 from repro.exceptions import ConfigurationError, NotFittedError, ShapeError
 from repro.features.extraction import CountExtractor

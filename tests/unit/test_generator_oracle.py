@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import CLASS_CLEAN, CLASS_MALWARE, TINY_PROFILE
+from repro.config import CLASS_MALWARE
 from repro.data.generator import CorpusGenerator
 from repro.data.oracle import LabelOracle
 from repro.exceptions import AttackError, DatasetError

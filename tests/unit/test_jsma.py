@@ -7,7 +7,6 @@ from jsma_reference import TRAJECTORY_FIELDS, assert_same_bytes, reference_run
 from repro.attacks.constraints import PerturbationConstraints
 from repro.attacks.jsma import JsmaAttack
 from repro.attacks.trajectory import TrajectoryRecorder
-from repro.config import CLASS_CLEAN
 from repro.exceptions import AttackError
 from repro.nn.engine import use_dtype
 from repro.nn.network import NeuralNetwork

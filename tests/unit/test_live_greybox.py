@@ -1,6 +1,5 @@
 """Tests for the live grey-box source-modification attack."""
 
-import numpy as np
 import pytest
 
 from repro.attacks.live_greybox import LiveGreyBoxAttack, LiveGreyBoxTrace

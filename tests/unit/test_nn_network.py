@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SerializationError, ShapeError
-from repro.nn.activations import softmax
-from repro.nn.layers import Dense
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.network import NeuralNetwork
 from repro.nn.optimizers import Adam

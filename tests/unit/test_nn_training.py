@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.network import NeuralNetwork
 from repro.nn.optimizers import Adam
 from repro.nn.training import EarlyStopping, Trainer, TrainingHistory

@@ -362,14 +362,15 @@ class TestSLOMonitor:
                           instrumentation=obs, clock=clock), clock
 
     def test_healthy_stream_never_breaches(self):
-        monitor, clock = self._monitor()
+        obs = Instrumentation()
+        monitor, clock = self._monitor(obs=obs)
         for _ in range(100):
             monitor.observe(latency_ms=1.0)
             clock.advance(0.01)
         statuses = monitor.evaluate()
         assert not statuses[0].breached
         assert statuses[0].attainment == 1.0
-        assert monitor.n_alerts == 0
+        assert obs.metrics.counter("alert.slo.latency").value == 0.0
         assert not monitor.should_shed()
 
     def test_sustained_burn_fires_once_and_arms_shedding(self):
@@ -379,7 +380,6 @@ class TestSLOMonitor:
             monitor.observe(latency_ms=100.0)
             clock.advance(0.01)
             monitor.evaluate()
-        assert monitor.n_alerts == 1  # edge-triggered: one event per breach
         assert monitor.should_shed()
         assert monitor.active_alerts == ["latency"]
         alert_events = [event for event in obs.sink.events
@@ -387,6 +387,7 @@ class TestSLOMonitor:
         assert len(alert_events) == 1
         assert alert_events[0].name == "slo.latency"
         assert alert_events[0].tags["on_breach"] == "shed"
+        # Edge-triggered: one alert per breach, counted once.
         assert obs.metrics.counter("alert.slo.latency").value == 1.0
 
     def test_min_events_gates_blips(self):
@@ -397,7 +398,8 @@ class TestSLOMonitor:
         assert not monitor.evaluate()[0].breached
 
     def test_breach_clears_when_burn_stops(self):
-        monitor, clock = self._monitor(slow_window_s=5.0)
+        obs = Instrumentation()
+        monitor, clock = self._monitor(obs=obs, slow_window_s=5.0)
         for _ in range(20):
             monitor.observe(latency_ms=100.0)
             clock.advance(0.01)
@@ -409,7 +411,7 @@ class TestSLOMonitor:
         status = monitor.evaluate()[0]
         assert not status.breached
         assert not monitor.should_shed()
-        assert monitor.n_alerts == 1
+        assert obs.metrics.counter("alert.slo.latency").value == 1.0
 
     def test_fast_breach_needs_slow_confirmation(self):
         # An old window full of good outcomes keeps the slow burn low: the

@@ -6,9 +6,7 @@ import pytest
 from repro.exceptions import ReproError
 from repro.obs import Instrumentation, MetricsRegistry, SLOSpec
 from repro.reliability import (
-    FAULT_ACTIONS,
     CircuitBreaker,
-    FaultInjector,
     FaultPlan,
     FaultSpec,
     InjectedFault,

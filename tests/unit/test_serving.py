@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from repro.config import TINY_PROFILE
-from repro.exceptions import ServingError
+from repro.exceptions import ConfigurationError, ServingError
 from repro.experiments.context import ExperimentContext
 from repro.obs import Instrumentation
+from repro.scenarios.registry import build_endpoint
 from repro.serving import (
     LoadGenerator,
     MicroBatcher,
     ModelRegistry,
+    ScoringService,
     ThroughputReport,
     TrafficMix,
     Verdict,
@@ -234,31 +236,28 @@ class TestBundleVersion:
 
 class TestModelRegistry:
     def test_unknown_model_raises(self):
-        registry = ModelRegistry()
-        with pytest.raises(ServingError):
-            registry.get("nonexistent", scale=TINY_PROFILE, seed=0)
-
-    def test_default_builders_registered(self):
-        assert ModelRegistry().available() == ["substitute", "target"]
-
-    def test_register_validates_name(self):
-        with pytest.raises(ServingError):
-            ModelRegistry().register("", lambda ctx: None)
+        context = ExperimentContext(scale=TINY_PROFILE, seed=0)
+        with pytest.raises(ServingError, match="substitute.*target"):
+            ModelRegistry().get("nonexistent", context=context)
 
     def test_cold_build_then_warm_start(self, tmp_path):
         from repro.nn.engine import compute_dtype
 
         cache = ArtifactCache(tmp_path / "cache")
         context = ExperimentContext(scale=TINY_PROFILE, seed=11, cache=cache)
-        cold = ModelRegistry(cache=cache)
-        servable = cold.get("target", context=context)
-        assert cold.cold_builds == 1
+        servable = ModelRegistry().get("target", context=context)
+        assert servable.model is context.target_model
+        assert servable.pipeline is context.pipeline
         assert servable.version == bundle_version("target", TINY_PROFILE, 11,
                                                   str(compute_dtype()))
 
-        warm = ModelRegistry(cache=cache)
-        restored = warm.get("target", scale=TINY_PROFILE, seed=11)
-        assert warm.cold_builds == 0          # loaded from disk, not rebuilt
+        # A fresh context over the warm cache serves the persisted model and
+        # pipeline without regenerating the corpus.
+        fresh = ExperimentContext(scale=TINY_PROFILE, seed=11, cache=cache)
+        restored = ModelRegistry().get("target", context=fresh)
+        assert restored.model is fresh.target_model
+        assert restored.pipeline is fresh.pipeline
+        assert fresh.describe()["corpus_built"] is False
         assert restored.version == servable.version
         assert restored.scale == TINY_PROFILE
         assert restored.pipeline.is_fitted
@@ -266,84 +265,58 @@ class TestModelRegistry:
         np.testing.assert_allclose(restored.model.predict_proba(x),
                                    servable.model.predict_proba(x), atol=1e-12)
 
+    def test_substitute_bundle_shares_the_defender_pipeline(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "cache")
+        for _ in ("cold", "warm"):
+            context = ExperimentContext(scale=TINY_PROFILE, seed=13, cache=cache)
+            servable = ModelRegistry().get("substitute", context=context)
+            assert servable.model is context.substitute_model
+            assert servable.pipeline is context.pipeline
+        assert context.describe()["corpus_built"] is False
+
     def test_repeated_get_reuses_in_process_instance(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
-        registry = ModelRegistry(cache=cache)
+        registry = ModelRegistry()
         context = ExperimentContext(scale=TINY_PROFILE, seed=12, cache=cache)
         first = registry.get("target", context=context)
         second = registry.get("target", context=context)
-        assert first is second
-        assert registry.cold_builds == 1
+        assert first.model is second.model
+        assert first.pipeline is second.pipeline
+        assert first.version == second.version
+
+    def test_default_context_serves_from_the_registry_cache(self, tmp_path,
+                                                             monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        cache = ArtifactCache(tmp_path / "cache")
+        servable = ModelRegistry(cache=cache).get()
+        assert servable.name == "target" and servable.scale == TINY_PROFILE
+        assert {entry.kind for entry in cache.entries()} >= {"pipeline", "target"}
 
 
-class TestScenarioBundles:
-    def test_register_scenario_serves_defended_bundle(self, tiny_context):
-        from repro.scenarios import ScenarioSpec
+class TestBuildEndpoint:
+    def test_none_defense_gives_no_detector(self, tiny_context):
+        assert build_endpoint("none", tiny_context) is None
 
-        registry = ModelRegistry()
-        registry.register_scenario("squeezed_target", ScenarioSpec(
-            defense="feature_squeezing", scale="tiny"))
-        assert "squeezed_target" in registry.available()
-        assert registry.scenario_for("squeezed_target").defense == \
-            "feature_squeezing"
-
-        servable = registry.get("squeezed_target", context=tiny_context)
-        detector = registry.detector_for("squeezed_target", tiny_context)
-        assert servable.model is tiny_context.target_model
-        assert detector is not None and detector.name == "feature_squeezing"
-
-        from repro.serving import ScoringService
-
+    def test_defended_target_bundle_serves(self, tiny_context):
+        servable = ModelRegistry().get("target", context=tiny_context)
+        detector = build_endpoint("feature_squeezing", tiny_context,
+                                  model=servable.model)
+        assert detector.network is tiny_context.target_model.network
         service = ScoringService(servable, detector=detector)
         assert service.defense_name == "feature_squeezing"
 
-    def test_detector_guards_the_bundles_own_model(self, tiny_context):
-        from repro.scenarios import ScenarioSpec
-
-        registry = ModelRegistry()
-        registry.register_scenario("squeezed_substitute", ScenarioSpec(
-            model="substitute", defense="feature_squeezing", scale="tiny"))
-        detector = registry.detector_for("squeezed_substitute", tiny_context)
+    def test_wrap_defense_guards_the_bundles_own_model(self, tiny_context):
+        servable = ModelRegistry().get("substitute", context=tiny_context)
+        detector = build_endpoint("feature_squeezing", tiny_context,
+                                  model=servable.model)
         assert detector.network is tiny_context.substitute_model.network
 
-    def test_scenario_spec_accepts_plain_mapping(self, tiny_context):
-        registry = ModelRegistry()
-        registry.register_scenario("greybox", {"model": "substitute",
-                                               "defense": "none",
-                                               "scale": "tiny"})
-        servable = registry.get("greybox", context=tiny_context)
-        assert servable.model is tiny_context.substitute_model
-        assert registry.detector_for("greybox", tiny_context) is None
-
-    def test_plain_bundles_have_no_detector(self, tiny_context):
-        registry = ModelRegistry()
-        assert registry.detector_for("target", tiny_context) is None
-        assert registry.scenario_for("target") is None
-
-    def test_register_scenario_rejects_defended_binary_bundles(self):
-        from repro.scenarios import ScenarioSpec
-
-        registry = ModelRegistry()
-        with pytest.raises(ServingError, match="binary_substitute"):
-            registry.register_scenario("bad", ScenarioSpec(
-                model="binary_substitute", defense="feature_squeezing",
-                scale="tiny"))
-        # The undefended binary bundle stays serveable.
-        registry.register_scenario("ok", ScenarioSpec(
-            model="binary_substitute", defense="none", scale="tiny"))
-        assert "ok" in registry.available()
-
-    def test_register_scenario_validates_defense_and_params(self):
-        from repro.exceptions import ConfigurationError
-        from repro.scenarios import ScenarioSpec
-
-        registry = ModelRegistry()
+    def test_unknown_defense_or_bad_param_raises(self, tiny_context):
         with pytest.raises(ConfigurationError):
-            registry.register_scenario("bad", ScenarioSpec(defense="tinfoil"))
+            build_endpoint("tinfoil", tiny_context)
         with pytest.raises(ConfigurationError):
-            registry.register_scenario("bad", ScenarioSpec(
-                defense="distillation",
-                defense_params={"temperature": "hot"}))
+            build_endpoint("distillation", tiny_context,
+                           {"temperature": "hot"})
 
 
 class TestTrafficMix:

@@ -1,6 +1,5 @@
 """Tests for SourceSample mutation and the simulated sandbox."""
 
-import numpy as np
 import pytest
 
 from repro.apilog.behavior_profiles import default_profile_library

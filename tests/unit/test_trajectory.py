@@ -5,7 +5,7 @@ import pytest
 
 from repro.attacks.constraints import PerturbationConstraints
 from repro.attacks.jsma import JsmaAttack
-from repro.attacks.trajectory import JsmaTrajectory, TrajectoryRecorder
+from repro.attacks.trajectory import TrajectoryRecorder
 from repro.exceptions import AttackError
 from repro.utils.topk import kth_largest, top_k_indices
 

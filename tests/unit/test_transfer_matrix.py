@@ -1,10 +1,9 @@
 """Tests for the cross-model transferability matrix."""
 
-import numpy as np
 import pytest
 
 from repro.attacks.constraints import PerturbationConstraints
-from repro.evaluation.transfer_matrix import TransferMatrix, transfer_matrix
+from repro.evaluation.transfer_matrix import transfer_matrix
 from repro.exceptions import AttackError
 
 
